@@ -38,18 +38,12 @@ from repro.bench.stats import (
     validate_bench,
 )
 from repro.core import Lammps
-from repro.graph import ON, force_graph_mode
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
 from repro.workloads.melt import setup_melt
 from repro.workloads.tantalum import setup_tantalum
 
 #: default output file (repo-root relative when run from the checkout)
 DEFAULT_OUT = "BENCH_hotpath.json"
-
-#: step-mode key for the kernel-graph fused replay (segmented scatter +
-#: captured/fused plan); sits alongside the scatter-mode keys
-GRAPH = "graph"
-
 
 def _build_melt(cells: int) -> Lammps:
     lmp = Lammps(quiet=True)
@@ -125,11 +119,6 @@ def bench_melt(cells: int = 8, repeats: int = 10) -> dict:
         with force_scatter_mode(mode):
             _record(out, "scatter", mode, collect_samples(scatter, repeats))
             _record(out, "step", mode, _step_samples(lmp, repeats))
-    # kernel-graph fused replay on top of the segmented winner: the first
-    # (warmup) step captures and fuses the dispatch DAG, the timed steps
-    # replay the cached plan
-    with force_scatter_mode(SEGMENTED), force_graph_mode(ON):
-        _record(out, "step", GRAPH, _step_samples(lmp, repeats))
     _finish(out)
     return out
 
@@ -161,8 +150,6 @@ def _finish(row: dict) -> None:
         m: row["natoms"] / s for m, s in step.items()
     }
     row["step_speedup"] = step[ATOMIC] / step[SEGMENTED]
-    if GRAPH in step:
-        row["graph_speedup"] = step[SEGMENTED] / step[GRAPH]
     if "scatter_seconds" in row:
         sc = row["scatter_seconds"]
         row["scatter_speedup"] = sc[ATOMIC] / sc[SEGMENTED]
@@ -211,12 +198,5 @@ def format_hotpath_report(results: dict) -> str:
                 f"{row['scatter_seconds'][ATOMIC] * 1e3:8.3f} -> "
                 f"{row['scatter_seconds'][SEGMENTED] * 1e3:8.3f} ms  "
                 f"({row['scatter_speedup']:.2f}x)"
-            )
-        if "graph_speedup" in row:
-            lines.append(
-                f"  {'':<9} fused graph step "
-                f"{row['step_seconds'][SEGMENTED] * 1e3:8.3f} -> "
-                f"{row['step_seconds'][GRAPH] * 1e3:8.3f} ms  "
-                f"({row['graph_speedup']:.2f}x)"
             )
     return "\n".join(lines)

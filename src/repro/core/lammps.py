@@ -350,6 +350,9 @@ class Lammps:
         perm = spatial_sort_order(atom.x[: atom.nlocal], size)
         if np.array_equal(perm, np.arange(atom.nlocal)):
             return False
+        # the permutation rewrites every field on the host: pull any newer
+        # device copy (EAM/kk leaves rho/fp device-modified) back first
+        self.sync_host_fields(*AtomVec.FIELD_DTYPES)
         atom.reorder_local(perm)
         self.mark_host_writes(*AtomVec.FIELD_DTYPES)
         return True
@@ -359,6 +362,10 @@ class Lammps:
         atom = self.require_box()
         if self.pair is None:
             raise LammpsError("neighbor rebuild requires a pair style")
+        if self.neigh_list is not None:
+            # free the outgoing list's pair scratch before migration, sort
+            # and the build allocate theirs: the two never coexist
+            self.neigh_list.pair_cache().release_workspaces()
         cutghost = self.pair.max_cutoff() + self.neighbor.skin
         if self.comm_brick is None or self.comm_brick.cutghost != cutghost:
             assert self.decomp is not None

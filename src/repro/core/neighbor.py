@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -52,9 +51,6 @@ LEGACY = "legacy"
 _STENCIL_MODES = (SHARED, LEGACY)
 
 _forced_stencil: str | None = None
-
-#: Process-wide rebuild stamp source for :attr:`NeighborList.generation`.
-_GENERATION = count(1)
 
 
 def stencil_mode() -> str:
@@ -103,11 +99,6 @@ class NeighborList:
     first: np.ndarray
     #: Flat neighbor indices into the local+ghost arrays, int32.
     neighbors: np.ndarray
-    #: Monotonic build stamp (process-wide).  Everything whose lifetime is
-    #: "until the next neighbor rebuild" — the :class:`PairCache`, the kernel
-    #: graph's fused-plan cache — can key on this instead of holding the list
-    #: object itself.
-    generation: int = -1
 
     @property
     def numneigh(self) -> np.ndarray:
@@ -235,8 +226,9 @@ class PairCache:
     Everything here depends only on the neighbor list and on arrays that are
     constant between rebuilds (atom types, pair-style cutoffs), yet the force
     kernels used to re-derive all of it every call — per-pair type gathers,
-    cutoff-matrix rows, the interior/boundary split, the j-side sort.  One
-    instance hangs off each :class:`NeighborList` (see
+    cutoff-matrix rows, the interior/boundary split, the j-side sort — and
+    it owns the per-phase :class:`PairWorkspace` scratch of the eager pass.
+    One instance hangs off each :class:`NeighborList` (see
     :meth:`NeighborList.pair_cache`); rebuilds create a fresh list and
     therefore a fresh, empty cache.
     """
@@ -247,6 +239,7 @@ class PairCache:
         self._cutsq: dict[int, np.ndarray] = {}
         self._j_order: np.ndarray | None = None
         self._phase_sel: dict[str, np.ndarray | None] = {}
+        self._workspaces: dict[str, PairWorkspace] = {}
 
     def ij(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(i, j)`` over stored pairs (shared with ``ij_pairs``)."""
@@ -311,6 +304,125 @@ class PairCache:
                     raise NeighborError(f"unknown compute phase {phase!r}")
         return self._phase_sel[phase]
 
+    def workspace(self, phase: str, types: np.ndarray, cut: np.ndarray) -> "PairWorkspace":
+        """The :class:`PairWorkspace` of one overlap phase, built on first use.
+
+        ``cut`` is the style's cutoff matrix; a different matrix object (a
+        re-``init`` that replaced it) rebuilds the workspace.
+        """
+        ws = self._workspaces.get(phase)
+        if ws is not None and ws.cut_key == id(cut):
+            return ws
+        del ws  # free a stale workspace before allocating its successor
+        self._workspaces.pop(phase, None)
+        i, j = self.ij()
+        itype, jtype = self.type_pairs(types)
+        tpair = itype.astype(np.intp) * cut.shape[0] + jtype
+        cutsq = self.cutsq_pairs(cut)
+        sel = self.phase_sel(phase)
+        if sel is not None:
+            i, j, tpair, cutsq = i[sel], j[sel], tpair[sel], cutsq[sel]
+        ws = self._workspaces[phase] = PairWorkspace(
+            i, j, tpair, cutsq, cut.shape[0], self.nlist.nlocal, id(cut)
+        )
+        return ws
+
+    def release_workspaces(self) -> None:
+        """Free every phase's scratch (the list is about to be replaced)."""
+        self._workspaces.clear()
+
+
+class PairWorkspace:
+    """Per-rebuild scratch for one phase of the eager pairwise pass.
+
+    Holds a phase's stored pairs ``(i, j)``, their squared cutoffs, and a
+    per-stored-pair type-pair index ``tpair = itype * (ntypes + 1) + jtype``
+    into a style's flattened coefficient tables, plus the buffers the pass
+    writes every step.  :meth:`geometry` fills the cut-pair views ``i``,
+    ``j``, ``dx``, ``rsq`` and ``tp`` (length ``n``); styles evaluate into
+    :meth:`scratch` buffers and :meth:`fvec` forms the force vectors.
+
+    The floating-point sequence is the one of the plain expressions
+    ``x[i] - x[j]``, ``rsq < cutsq``, boolean-mask compression and 2-D
+    coefficient lookup: gathers become ``np.take`` into preallocated
+    ``out=`` buffers, which moves no bit of any result.
+
+    Buffers are reused in place: the stored-pair ``(S, 3)`` delta holds the
+    force vectors once compressed, and the second ``(S, 3)`` buffer holds
+    the cut-pair deltas.  Results are views into the workspace, valid
+    until the next :meth:`geometry` call on the same phase.
+    """
+
+    #: float buffers handed out by :meth:`scratch` (LJ needs all of them)
+    NSCRATCH = 4
+
+    def __init__(
+        self,
+        i: np.ndarray,
+        j: np.ndarray,
+        tpair: np.ndarray,
+        cutsq: np.ndarray,
+        ntp: int,
+        nlocal: int,
+        cut_key: int,
+    ) -> None:
+        s = len(i)
+        self.stored = s
+        self.ntp = ntp
+        self.nlocal = nlocal
+        self.cut_key = cut_key
+        self._i0, self._j0, self._tpair0, self._cutsq0 = i, j, tpair, cutsq
+        self._delta = np.empty((s, 3))
+        self._vec = np.empty((s, 3))
+        self._rsq0 = np.empty(s)
+        self._mask = np.empty(s, dtype=bool)
+        self._ints = np.empty((3, s), dtype=np.intp)
+        self._floats = np.empty((self.NSCRATCH + 1, s))
+        self.n = 0
+
+    def geometry(self, x: np.ndarray) -> int:
+        """Distances over stored pairs, compressed to the in-cutoff pairs.
+
+        Returns the cut-pair count ``n``; the cut-pair views are then
+        ``i``, ``j`` (owned/neighbor indices), ``dx`` (``x[i] - x[j]``),
+        ``rsq`` (owned by the evaluator: it may be overwritten in place)
+        and ``tp`` (type-pair index).
+        """
+        delta, vec = self._delta, self._vec
+        np.take(x, self._i0, axis=0, out=delta, mode="clip")
+        np.take(x, self._j0, axis=0, out=vec, mode="clip")
+        np.subtract(delta, vec, out=delta)
+        np.einsum("ij,ij->i", delta, delta, out=self._rsq0)
+        np.less(self._rsq0, self._cutsq0, out=self._mask)
+        idx = np.flatnonzero(self._mask)
+        n = self.n = idx.size
+        self.dx = np.take(delta, idx, axis=0, out=vec[:n], mode="clip")
+        self.rsq = np.take(self._rsq0, idx, out=self._floats[0, :n], mode="clip")
+        self.i = np.take(self._i0, idx, out=self._ints[0, :n], mode="clip")
+        self.j = np.take(self._j0, idx, out=self._ints[1, :n], mode="clip")
+        self.tp = np.take(self._tpair0, idx, out=self._ints[2, :n], mode="clip")
+        return n
+
+    def type_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cut-pair ``(itype, jtype)`` decoded from ``tp`` (fresh arrays)."""
+        return np.divmod(self.tp, self.ntp)
+
+    def jlocal(self) -> np.ndarray:
+        """Cut-pair mask: True where the neighbor is an owned atom."""
+        return np.less(self.j, self.nlocal, out=self._mask[: self.n])
+
+    def scratch(self, k: int) -> np.ndarray:
+        """Float scratch ``k`` (1..NSCRATCH), sliced to the cut-pair count."""
+        return self._floats[k, : self.n]
+
+    def gather(self, table: np.ndarray, k: int) -> np.ndarray:
+        """``table[itype, jtype]`` per cut pair, into scratch ``k``."""
+        return np.take(table.ravel(), self.tp, out=self.scratch(k), mode="clip")
+
+    def fvec(self, fpair: np.ndarray) -> np.ndarray:
+        """``fpair[:, None] * dx`` into the (now free) stored-pair delta."""
+        return np.multiply(fpair[:, None], self.dx, out=self._delta[: self.n])
+
 
 def _bin_index(x: np.ndarray, origin: np.ndarray, nbins: np.ndarray, inv_size: np.ndarray) -> np.ndarray:
     cell = ((x - origin) * inv_size).astype(np.int64)
@@ -360,7 +472,6 @@ def build_neighbor_list(
         nlist = _build_shared(x, nlocal, cutoff, style, newton, chunk, grid)
     else:
         nlist = _build_legacy(x, nlocal, cutoff, style, newton, chunk)
-    nlist.generation = next(_GENERATION)
     return nlist
 
 

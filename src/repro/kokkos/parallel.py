@@ -22,28 +22,12 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.graph import capture as graph_capture
 from repro.hardware.cost import KernelProfile
 from repro.kokkos.core import Device, device_context
 from repro.kokkos.policies import MDRangePolicy, RangePolicy, TeamPolicy
 from repro.tools import registry as kp
 
 Policy = RangePolicy | MDRangePolicy | TeamPolicy
-
-
-def _graph_note(
-    kind: str, name: str, policy: Policy, profile: KernelProfile, seconds: float
-) -> None:
-    """Attribute a charged dispatch to the armed kernel-graph capture."""
-    graph_capture.CAPTURING[-1].on_dispatch(
-        kind,
-        name,
-        policy,
-        policy.space.name,
-        float(policy.parallelism),
-        profile,
-        seconds,
-    )
 
 
 def _charge(
@@ -100,8 +84,6 @@ def parallel_for(
     )
     _run(policy, functor)
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("for", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
 
@@ -135,8 +117,6 @@ def parallel_reduce(
     else:
         result = reducer(np.asarray(raw)) if not np.isscalar(raw) else raw
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("reduce", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
     return result
@@ -180,8 +160,6 @@ def parallel_scan(
     else:
         scan = inclusive
     seconds, resolved = _charge(name, policy, profile)
-    if graph_capture.CAPTURING:
-        _graph_note("scan", name, policy, resolved, seconds)
     if kid is not None:
         kp.end_kernel(kid, resolved, seconds)
     return scan, total

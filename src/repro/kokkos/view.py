@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.graph import capture as graph_capture
 from repro.kokkos.core import ExecutionSpace, Host
 from repro.kokkos.layout import Layout, default_layout
 from repro.tools import registry as kp
@@ -84,11 +83,6 @@ class View:
     @property
     def data(self) -> np.ndarray:
         """The backing ndarray (aliasable by non-Kokkos code)."""
-        if graph_capture.CAPTURING:
-            # handing out the raw array: conservatively a read (writes
-            # through it are invisible, so fusable stages must mutate
-            # via __setitem__/fill or declare the write)
-            graph_capture.CAPTURING[-1].note_view_access(self.label, "r")
         return self._data
 
     @property
@@ -115,13 +109,9 @@ class View:
         return self._data.shape[0]
 
     def __getitem__(self, idx):
-        if graph_capture.CAPTURING:
-            graph_capture.CAPTURING[-1].note_view_access(self.label, "r")
         return self._data[idx]
 
     def __setitem__(self, idx, value) -> None:
-        if graph_capture.CAPTURING:
-            graph_capture.CAPTURING[-1].note_view_access(self.label, "w")
         self._data[idx] = value
 
     def __array__(self, dtype=None, copy=None):
@@ -137,8 +127,6 @@ class View:
 
     # ------------------------------------------------------------ mutation
     def fill(self, value) -> None:
-        if graph_capture.CAPTURING:
-            graph_capture.CAPTURING[-1].note_view_access(self.label, "w")
         self._data[...] = value
 
     def resize(self, new_shape: int | tuple[int, ...]) -> None:

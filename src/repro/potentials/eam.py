@@ -74,11 +74,12 @@ class EAMMixin:
         safe = np.maximum(rho, 1e-30)
         return -0.5 * self.embed_A[types] / np.sqrt(safe)
 
-    def phi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
-        return self.pair_c[it, jt] * (self.cut_global - r) ** 2
+    def phi(self, r: np.ndarray, tp: np.ndarray) -> np.ndarray:
+        """Pair repulsion; ``tp`` indexes the flattened ``pair_c`` table."""
+        return np.take(self.pair_c.ravel(), tp) * (self.cut_global - r) ** 2
 
-    def dphi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
-        return -2.0 * self.pair_c[it, jt] * (self.cut_global - r)
+    def dphi(self, r: np.ndarray, tp: np.ndarray) -> np.ndarray:
+        return -2.0 * np.take(self.pair_c.ravel(), tp) * (self.cut_global - r)
 
 
 @register_pair("eam/fs")
@@ -93,21 +94,18 @@ class PairEAM(EAMMixin, Pair):
         return "full", False
 
     # ------------------------------------------------------------- helpers
-    def _pair_geometry(self, phase: str = "all"):
-        """Cutoff-masked geometry ``(i, j, dx, r, itype, jtype)`` for pairs.
+    def _pair_geometry(self, phase: str = "all", x: np.ndarray | None = None):
+        """Cutoff-masked geometry ``(i, j, dx, r, tp, stored)`` for pairs.
 
-        Types and squared cutoffs come from the per-rebuild pair cache; only
-        the geometry is recomputed each step.
+        Computed in the phase's pair workspace against ``x`` (default: the
+        host positions); ``tp`` is each cut pair's type-pair index and
+        ``stored`` the phase's stored-pair count.  The arrays are workspace
+        views, valid until the phase's next geometry pass.
         """
-        atom = self.lmp.atom
-        nlist = self.lmp.neigh_list
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        x = atom.x[: atom.nall]
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx = i[mask], j[mask], dx[mask]
-        return i, j, dx, np.sqrt(rsq[mask]), itype[mask], jtype[mask]
+        ws = self.pair_workspace(phase)
+        ws.geometry(self.lmp.atom.x if x is None else x)
+        r = np.sqrt(ws.rsq, out=ws.rsq)
+        return ws.i, ws.j, ws.dx, r, ws.tp, ws.stored
 
     def _embed_locals(self) -> None:
         """Embedding energy and its derivative fp for owned atoms."""
@@ -118,11 +116,11 @@ class PairEAM(EAMMixin, Pair):
         atom.fp[: atom.nlocal] = self.dembed(rho_local, types_local)
 
     def _force_pass(
-        self, i, j, dx, r, itype, jtype, eflag, vflag, *, sorted_i: bool = True
+        self, i, j, dx, r, tp, eflag, vflag, *, sorted_i: bool = True
     ) -> None:
         atom = self.lmp.atom
         fp_sum = atom.fp[i] + atom.fp[j]
-        dphi = self.dphi(r, itype, jtype)
+        dphi = self.dphi(r, tp)
         ddens = self.ddens(r)
         # dE/dr for the (i, j) bond as seen from atom i (full list: each
         # bond visited from both ends, so no factor 2).
@@ -130,7 +128,7 @@ class PairEAM(EAMMixin, Pair):
         fvec = fpair[:, None] * dx
         scatter_add(atom.f, i, fvec, assume_sorted=sorted_i)
         if eflag or vflag:
-            evdwl = self.phi(r, itype, jtype)
+            evdwl = self.phi(r, tp)
             self.tally_pairs(
                 evdwl, dx, fpair, j < atom.nlocal, full_list=True, newton=False
             )
@@ -146,7 +144,7 @@ class PairEAM(EAMMixin, Pair):
         if nlist is None or nlist.total_pairs == 0:
             return
 
-        i, j, dx, r, itype, jtype = self._pair_geometry()
+        i, j, dx, r, tp, _ = self._pair_geometry()
 
         # Loop 1: electron density of owned atoms.
         scatter_add(atom.rho, i, self.dens(r), assume_sorted=True)
@@ -157,7 +155,7 @@ class PairEAM(EAMMixin, Pair):
         yield from lmp.comm_brick.forward_comm_field(atom, "fp")
 
         # Loop 2: forces and pair energy.
-        self._force_pass(i, j, dx, r, itype, jtype, eflag, vflag)
+        self._force_pass(i, j, dx, r, tp, eflag, vflag)
 
     def compute_overlap_gen(
         self, inflight, eflag: bool = True, vflag: bool = True
@@ -180,13 +178,13 @@ class PairEAM(EAMMixin, Pair):
             return
 
         # Interior density: both atoms owned, positions already final.
-        ii, ji, dxi, ri, iti, jti = self._pair_geometry("interior")
+        ii, ji, dxi, ri, tpi, _ = self._pair_geometry("interior")
         scatter_add(atom.rho, ii, self.dens(ri), assume_sorted=True)
 
         # Synchronize the position halo, then fold in ghost-pair density.
         yield from inflight.finish()
         lmp.mark_host_writes("x")
-        ib, jb, dxb, rb, itb, jtb = self._pair_geometry("boundary")
+        ib, jb, dxb, rb, tpb, _ = self._pair_geometry("boundary")
         scatter_add(atom.rho, ib, self.dens(rb), assume_sorted=True)
         self._embed_locals()
 
@@ -199,8 +197,7 @@ class PairEAM(EAMMixin, Pair):
             np.concatenate([ji, jb]),
             np.concatenate([dxi, dxb]),
             np.concatenate([ri, rb]),
-            np.concatenate([iti, itb]),
-            np.concatenate([jti, jtb]),
+            np.concatenate([tpi, tpb]),
             eflag,
             vflag,
             sorted_i=False,

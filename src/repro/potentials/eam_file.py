@@ -155,9 +155,9 @@ class PairEAMFile(PairEAM):
     def dembed(self, rho: np.ndarray, types: np.ndarray) -> np.ndarray:
         return self._dF(rho)
 
-    def phi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
+    def phi(self, r: np.ndarray, tp: np.ndarray) -> np.ndarray:
         return self._rphi(r) / r
 
-    def dphi(self, r: np.ndarray, it: np.ndarray, jt: np.ndarray) -> np.ndarray:
+    def dphi(self, r: np.ndarray, tp: np.ndarray) -> np.ndarray:
         # d(phi)/dr = (d(r phi)/dr - phi) / r
         return (self._drphi(r) - self._rphi(r) / r) / r

@@ -21,7 +21,6 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
 from repro.kokkos.core import Device, Host
 from repro.kokkos.scatter_view import ScatterView
 from repro.kokkos.segment import scatter_add
@@ -39,21 +38,6 @@ class PairEAMKokkos(PairEAM):
         super().__init__(lmp, args)
 
     # ------------------------------------------------------------- helpers
-    def _device_geometry(self, phase: str, x):
-        """Cutoff-masked pair geometry against the execution-space views.
-
-        Pair indices, gathered types and squared cutoffs come from the
-        per-rebuild pair cache; only the distances are recomputed.
-        """
-        nlist = self.lmp.neigh_list
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, self.lmp.atom, phase)
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        stored = len(i)
-        i, j, dx = i[mask], j[mask], dx[mask]
-        return i, j, dx, np.sqrt(rsq[mask]), itype[mask], jtype[mask], stored
-
     def _density_kernel(
         self, i: np.ndarray, r: np.ndarray, stored: int, rho_view, suffix: str = ""
     ) -> None:
@@ -101,23 +85,14 @@ class PairEAMKokkos(PairEAM):
         )
 
     def _force_kernel(
-        self, i, j, dx, r, itype, jtype, stored, fp_view, f_view, eflag, vflag,
+        self, i, j, dx, r, tp, stored, fp_view, f_view, eflag, vflag,
         *, sorted_i: bool = True,
     ) -> None:
         atom = self.lmp.atom
         nlist = self.lmp.neigh_list
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import eam_force_graph
-
-            if eam_force_graph(
-                self, i, j, dx, r, itype, jtype, stored, fp_view, f_view,
-                eflag, vflag, sorted_i=sorted_i,
-            ):
-                self.lmp.atom_kk.modified(self.execution_space, ("f",))
-                return
         fp = fp_view.data
         fp_sum = fp[i] + fp[j]
-        fpair = -(self.dphi(r, itype, jtype) + fp_sum * self.ddens(r)) / r
+        fpair = -(self.dphi(r, tp) + fp_sum * self.ddens(r)) / r
         fvec = fpair[:, None] * dx
         scatter_add(f_view.data, i, fvec, assume_sorted=sorted_i)
         self.lmp.atom_kk.modified(self.execution_space, ("f",))
@@ -136,7 +111,7 @@ class PairEAMKokkos(PairEAM):
             ),
         )
         if eflag or vflag:
-            evdwl = self.phi(r, itype, jtype)
+            evdwl = self.phi(r, tp)
             self.tally_pairs(
                 evdwl, dx, fpair, j < atom.nlocal, full_list=True, newton=False
             )
@@ -177,15 +152,13 @@ class PairEAMKokkos(PairEAM):
             return
 
         x, types, rho_view, fp_view, f_view = self._sync_views()
-        i, j, dx, r, itype, jtype, stored = self._device_geometry("all", x)
+        i, j, dx, r, tp, stored = self._pair_geometry("all", x)
 
         self._density_kernel(i, r, stored, rho_view)
         self._embed_kernel(rho_view, fp_view, types)
         lmp.atom_kk.modified(self.execution_space, ("rho", "fp"))
         yield from self._fp_comm_gen()
-        self._force_kernel(
-            i, j, dx, r, itype, jtype, stored, fp_view, f_view, eflag, vflag
-        )
+        self._force_kernel(i, j, dx, r, tp, stored, fp_view, f_view, eflag, vflag)
 
     def compute_overlap_gen(
         self, inflight, eflag: bool = True, vflag: bool = True
@@ -204,7 +177,7 @@ class PairEAMKokkos(PairEAM):
         x, types, rho_view, fp_view, f_view = self._sync_views()
 
         # Interior density runs against positions already final on this rank.
-        ii, ji, dxi, ri, iti, jti, stored_i = self._device_geometry("interior", x)
+        ii, ji, dxi, ri, tpi, stored_i = self._pair_geometry("interior", x)
         self._density_kernel(ii, ri, stored_i, rho_view, suffix="/interior")
 
         # Synchronize the halo, refresh the device positions, then fold in
@@ -213,7 +186,7 @@ class PairEAMKokkos(PairEAM):
         lmp.mark_host_writes("x")
         atom_kk.sync(space, ("x",))
         x = atom_kk.view("x", space).data
-        ib, jb, dxb, rb, itb, jtb, stored_b = self._device_geometry("boundary", x)
+        ib, jb, dxb, rb, tpb, stored_b = self._pair_geometry("boundary", x)
         self._density_kernel(ib, rb, stored_b, rho_view, suffix="/boundary")
 
         self._embed_kernel(rho_view, fp_view, types)
@@ -224,8 +197,7 @@ class PairEAMKokkos(PairEAM):
             np.concatenate([ji, jb]),
             np.concatenate([dxi, dxb]),
             np.concatenate([ri, rb]),
-            np.concatenate([iti, itb]),
-            np.concatenate([jti, jtb]),
+            np.concatenate([tpi, tpb]),
             stored_i + stored_b,
             fp_view,
             f_view,

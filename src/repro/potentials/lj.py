@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
 from repro.potentials.pair import Pair
 
 
@@ -98,47 +97,28 @@ class LJMixin:
         evdwl -= self.offset[itype, jtype]
         return fpair, evdwl
 
-    def graph_eval_setup(self, env: dict, itype0, jtype0):
-        """Staged LJ eval: coefficient tables pre-gathered per plan.
+    def pair_eval_ws(self, ws) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`pair_eval` over a workspace's cut pairs, op for op.
 
-        The 2-D fancy-indexed coefficient lookups of :meth:`pair_eval`
-        become 1-D ``np.take`` gathers against per-stored-pair vectors
-        computed once at capture, and every ufunc lands in preallocated
-        scratch.  The floating-point operation sequence is identical to
-        :meth:`pair_eval` op for op, so the results are bitwise-equal
-        (held by the fused-vs-eager matrix test).
+        The 2-D coefficient lookups become 1-D ``np.take`` gathers through
+        the type-pair index, and every ufunc writes workspace scratch
+        (``1/rsq`` overwrites ``ws.rsq``); the operation sequence is the
+        one of :meth:`pair_eval`, so the results are bitwise-equal.
         """
-        cap = len(itype0)
-        env["lj1p"] = self.lj1[itype0, jtype0]
-        env["lj2p"] = self.lj2[itype0, jtype0]
-        env["lj3p"] = self.lj3[itype0, jtype0]
-        env["lj4p"] = self.lj4[itype0, jtype0]
-        env["offp"] = self.offset[itype0, jtype0]
-        for key in ("lj_ca", "lj_cb", "lj_r2", "lj_r6", "lj_t", "fpair_s", "evdwl_s"):
-            env[key] = np.empty(cap)
-
-        def eval_fn(env: dict) -> None:
-            idx = env["idx"]
-            n = idx.size
-            rsq = env["rsq_n"]
-            ca = np.take(env["lj1p"], idx, out=env["lj_ca"][:n])
-            cb = np.take(env["lj2p"], idx, out=env["lj_cb"][:n])
-            r2 = np.divide(1.0, rsq, out=env["lj_r2"][:n])
-            r6 = np.multiply(r2, r2, out=env["lj_r6"][:n])
-            np.multiply(r6, r2, out=r6)
-            t = np.multiply(ca, r6, out=env["lj_t"][:n])
-            np.subtract(t, cb, out=t)
-            forcelj = np.multiply(r6, t, out=t)
-            env["fpair_n"] = np.multiply(forcelj, r2, out=env["fpair_s"][:n])
-            ca = np.take(env["lj3p"], idx, out=ca)
-            cb = np.take(env["lj4p"], idx, out=cb)
-            e = np.multiply(ca, r6, out=env["evdwl_s"][:n])
-            np.subtract(e, cb, out=e)
-            np.multiply(r6, e, out=e)
-            off = np.take(env["offp"], idx, out=ca)
-            env["evdwl_n"] = np.subtract(e, off, out=e)
-
-        return eval_fn
+        r2 = np.divide(1.0, ws.rsq, out=ws.rsq)
+        r6 = np.multiply(r2, r2, out=ws.scratch(1))
+        np.multiply(r6, r2, out=r6)
+        t = ws.gather(self.lj1, 2)
+        np.multiply(t, r6, out=t)
+        np.subtract(t, ws.gather(self.lj2, 3), out=t)
+        np.multiply(r6, t, out=t)
+        fpair = np.multiply(t, r2, out=t)
+        e = ws.gather(self.lj3, 4)
+        np.multiply(e, r6, out=e)
+        np.subtract(e, ws.gather(self.lj4, 3), out=e)
+        np.multiply(r6, e, out=e)
+        evdwl = np.subtract(e, ws.gather(self.offset, 3), out=e)
+        return fpair, evdwl
 
 
 @register_pair("lj/cut")
@@ -152,11 +132,6 @@ class PairLJCut(LJMixin, Pair):
         nlist = self.lmp.neigh_list
         if nlist is None or nlist.total_pairs == 0:
             return
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import graph_pair_compute
-
-            if graph_pair_compute(self, "all", eflag, vflag):
-                return
         self._compute_pairs("all", eflag, vflag)
 
     def compute_phase(
@@ -171,23 +146,17 @@ class PairLJCut(LJMixin, Pair):
 
     def _compute_pairs(self, phase: str, eflag: bool, vflag: bool) -> None:
         atom = self.lmp.atom
-        nlist = self.lmp.neigh_list
-        x = atom.x[: atom.nall]
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        if not i.size:
+        ws = self.pair_workspace(phase)
+        if not ws.stored:
             return
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl = self.pair_eval(rsq, itype, jtype)
+        ws.geometry(atom.x)
+        fpair, evdwl = self.pair_eval_ws(ws)
+        fvec = ws.fvec(fpair)
 
         newton = self.lmp.newton_pair
-        fvec = fpair[:, None] * dx
-        jlocal = j < atom.nlocal
-        self.scatter_pair_forces(atom, i, j, fvec, jlocal, newton)
+        jlocal = ws.jlocal()
+        self.scatter_pair_forces(atom, ws.i, ws.j, fvec, jlocal, newton)
         if eflag or vflag:
             self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=False, newton=newton
+                evdwl, ws.dx, fpair, jlocal, full_list=False, newton=newton, w=fvec
             )

@@ -106,35 +106,19 @@ class PairLJCutCoulCutKokkos(LJCoulMixin, PairKokkos):
     is inherited.
     """
 
-    # pair_eval reconstructs the charge pairing from whole-list order, which
-    # a phase-restricted pair batch would break.
+    # runs the serial exchange-then-compute path even when overlap is asked
     supports_overlap = False
 
     def kernel_name(self) -> str:
         return "PairComputeLJCutCoulCut"
 
-    def compute(self, eflag: bool = True, vflag: bool = True) -> None:
-        # stash charge context for pair_eval (the generic kernel calls
-        # pair_eval(rsq, itype, jtype) per masked pair batch)
-        atom = self.lmp.atom
-        self._q = atom.q[: atom.nall]
-        self._nlist = self.lmp.neigh_list
-        super().compute(eflag, vflag)
-
-    def pair_eval(self, rsq, itype, jtype):
-        # reconstruct the (i, j) charge pairing from the masked pair batch:
-        # the base class evaluates pairs in list order after the cutoff mask
-        i, j = self._nlist.ij_pairs()
-        x = self.lmp.atom_kk.view("x", self.execution_space).data
-        dx = x[i] - x[j]
-        full_rsq = np.einsum("ij,ij->i", dx, dx)
-        cutsq = self.cut[self.lmp.atom.type[i], self.lmp.atom.type[j]] ** 2
-        mask = full_rsq < cutsq
-        qi = self._q[i[mask]]
-        qj = self._q[j[mask]]
+    def pair_eval_ws(self, ws):
+        # the workspace carries the cut pairs' (i, j), so the charges pair up
+        # directly; fold coulomb into the vdW tally (the generic base
+        # tallies one energy channel; the host style splits them)
+        q = self.lmp.atom.q
+        itype, jtype = ws.type_pairs()
         fpair, evdwl, ecoul = self.pair_eval_q(
-            rsq, itype, jtype, qi, qj, self.lmp.update.units.qqr2e
+            ws.rsq, itype, jtype, q[ws.i], q[ws.j], self.lmp.update.units.qqr2e
         )
-        # fold coulomb into the vdW tally (the generic base tallies one
-        # energy channel; the host style splits them)
         return fpair, evdwl + ecoul

@@ -119,9 +119,8 @@ class Pair:
         ``fpair`` is the scalar force magnitude over r (force vector is
         ``fpair[:, None] * dx``); ``jlocal`` marks pairs whose j atom is
         owned by this rank.  Callers that already hold the force vectors
-        may pass them as ``w`` to skip recomputing the product (the
-        kernel-graph replay path reuses its fused ``fvec`` stage output;
-        the product is bitwise-identical either way).
+        may pass them as ``w`` to skip recomputing the product (it is
+        bitwise-identical either way).
         """
         if full_list:
             factor = np.full(len(evdwl), 0.5)
@@ -214,30 +213,25 @@ class Pair:
             f"{type(self).__name__} does not support phased (overlapped) compute"
         )
 
-    # --------------------------------------------------------- kernel graph
-    def graph_eval_setup(self, env: dict, itype0, jtype0):
-        """Bind per-plan eval state into ``env``; return the staged eval fn.
+    # ------------------------------------------------------ pair workspace
+    def pair_workspace(self, phase: str = "all"):
+        """The current list's :class:`~repro.core.neighbor.PairWorkspace`.
 
-        The generic form gathers the compressed type pairs and defers to
-        :meth:`pair_eval` — the same call the eager kernel makes, so any
-        style with ``pair_eval`` stages for free.  Styles override this
-        to pre-gather coefficient tables once per plan (see ``LJMixin``).
-        Returns None when the style cannot be staged.
+        One per overlap phase, built on first use after a rebuild and
+        released by the next one (see ``Lammps.rebuild_gen``).
         """
-        if not hasattr(self, "pair_eval"):
-            return None
-        env["it0"] = itype0
-        env["jt0"] = jtype0
+        cache = self.lmp.neigh_list.pair_cache()
+        return cache.workspace(phase, self.lmp.atom.type, self.cut)
 
-        def eval_fn(env: dict, pair=self) -> None:
-            idx = env["idx"]
-            it_n = np.take(env["it0"], idx)
-            jt_n = np.take(env["jt0"], idx)
-            fpair, evdwl = pair.pair_eval(env["rsq_n"], it_n, jt_n)
-            env["fpair_n"] = fpair
-            env["evdwl_n"] = evdwl
+    def pair_eval_ws(self, ws) -> tuple[np.ndarray, np.ndarray]:
+        """``(fpair, evdwl)`` over a workspace's cut pairs.
 
-        return eval_fn
+        The generic form decodes the type pairs and defers to
+        :meth:`pair_eval`; styles override it to read their coefficient
+        tables through ``ws.tp`` into workspace scratch (see ``LJMixin``).
+        """
+        itype, jtype = ws.type_pairs()
+        return self.pair_eval(ws.rsq, itype, jtype)
 
     # --------------------------------------------------------------- hooks
     def compute(self, eflag: bool = True, vflag: bool = True) -> None:

@@ -29,7 +29,6 @@ import numpy as np
 
 import repro.kokkos as kk
 from repro.core.errors import InputError
-from repro.graph import plan as graph_plan
 from repro.kokkos.core import Device, Host
 from repro.kokkos.scatter_view import ScatterView
 from repro.kokkos.segment import scatter_add, scatter_mode
@@ -110,11 +109,6 @@ class PairKokkos(Pair):
         self.reset_tallies()
         if self.lmp.neigh_list is None or self.lmp.neigh_list.total_pairs == 0:
             return
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import graph_pair_compute
-
-            if graph_pair_compute(self, "all", eflag, vflag):
-                return
         self._compute_pairs("all", eflag, vflag, name_suffix="")
 
     def compute_phase(
@@ -148,19 +142,15 @@ class PairKokkos(Pair):
         x_view = atom_kk.view("x", space)
         f_view = atom_kk.view("f", space)
 
-        i, j, itype, jtype, cutsq = self.pair_table(nlist, atom, phase)
-        x = x_view.data
-        dx = x[i] - x[j]
-        rsq = np.einsum("ij,ij->i", dx, dx)
-        mask = rsq < cutsq
-        stored_pairs = len(i)
-        i, j, dx, rsq = i[mask], j[mask], dx[mask], rsq[mask]
-        itype, jtype = itype[mask], jtype[mask]
-        fpair, evdwl = self.pair_eval(rsq, itype, jtype)
-        fvec = fpair[:, None] * dx
+        ws = self.pair_workspace(phase)
+        stored_pairs = ws.stored
+        ws.geometry(x_view.data)
+        i, j, dx = ws.i, ws.j, ws.dx
+        fpair, evdwl = self.pair_eval_ws(ws)
+        fvec = ws.fvec(fpair)
 
         full = self.neigh_mode == "full"
-        jlocal = j < atom.nlocal
+        jlocal = ws.jlocal()
         atomic_adds = 0
         duplicated_bytes = 0.0
         if full:
@@ -185,13 +175,14 @@ class PairKokkos(Pair):
 
         if eflag or vflag:
             self.tally_pairs(
-                evdwl, dx, fpair, jlocal, full_list=full, newton=self.newton_mode
+                evdwl, dx, fpair, jlocal, full_list=full, newton=self.newton_mode,
+                w=fvec,
             )
 
         profile = self.kernel_profile(
             natoms=atom.nlocal,
             stored_pairs=stored_pairs,
-            cut_pairs=len(rsq),
+            cut_pairs=ws.n,
             mean_neighbors=nlist.mean_neighbors,
             atomic_adds=atomic_adds,
             duplicated_bytes=duplicated_bytes,

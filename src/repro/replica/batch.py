@@ -145,8 +145,8 @@ class _LJHandler:
 
     @staticmethod
     def gather(pair, itype: np.ndarray, jtype: np.ndarray) -> dict:
-        # the same pre-gather the kernel-graph capture performs: 2-D fancy
-        # indexing becomes per-stored-pair vectors, values unchanged
+        # pre-gathered once per epoch: 2-D fancy indexing becomes
+        # per-stored-pair vectors, values unchanged
         return {
             "lj1": pair.lj1[itype, jtype],
             "lj2": pair.lj2[itype, jtype],

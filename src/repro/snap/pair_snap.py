@@ -23,7 +23,6 @@ import numpy as np
 import repro.kokkos as kk
 from repro.core.errors import InputError
 from repro.core.styles import register_pair
-from repro.graph import plan as graph_plan
 from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import scatter_add, scatter_sub
 from repro.potentials.pair import Pair
@@ -97,19 +96,11 @@ class PairSNAP(Pair):
         nlocal = atom.nlocal
         x = atom.x[: atom.nall]
 
-        geom = None
-        if graph_plan.GRAPH:
-            from repro.graph.pairwise import snap_geometry_graph
-
-            geom = snap_geometry_graph(self, nlist, x)
-        if geom is not None:
-            i, j, rij = geom
-        else:
-            i, j = nlist.ij_pairs()
-            rij = x[j] - x[i]
-            rsq = np.einsum("ij,ij->i", rij, rij)
-            mask = rsq < self.rcut**2
-            i, j, rij = i[mask], j[mask], rij[mask]
+        i, j = nlist.ij_pairs()
+        rij = x[j] - x[i]
+        rsq = np.einsum("ij,ij->i", rij, rij)
+        mask = rsq < self.rcut**2
+        i, j, rij = i[mask], j[mask], rij[mask]
         stats["npairs"] = len(i)
         stats["natoms"] = nlocal
 

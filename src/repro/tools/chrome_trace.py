@@ -86,10 +86,6 @@ class ChromeTrace(Tool):
             args["bytes"] = getattr(ev.profile, "bytes_streamed", 0.0) + getattr(
                 ev.profile, "bytes_reusable", 0.0
             )
-        if ev.name.startswith("graph:fused["):
-            # kernel-graph composite dispatch: annotate how many captured
-            # stages the fused body carries (graph:fused[a+b+c] -> 3)
-            args["fused_stages"] = ev.name.count("+") + 1
         self._emit("B", ev.name, ev.rank, ev.sim_us, cat="kernel", args=args)
         self._emit("E", ev.name, ev.rank, ev.sim_end_us, cat="kernel")
 

@@ -285,7 +285,6 @@ def mode_config() -> dict[str, str]:
     the rest of ``repro``, and only when a sink actually asks.
     """
     from repro.core.neighbor import stencil_mode
-    from repro.graph.plan import graph_mode
     from repro.kokkos.core import device_context, is_initialized
     from repro.kokkos.segment import scatter_mode
 
@@ -297,7 +296,6 @@ def mode_config() -> dict[str, str]:
         "device": device,
         "scatter": scatter_mode(),
         "stencil": stencil_mode(),
-        "graph": graph_mode(),
     }
 
 
@@ -445,20 +443,6 @@ class MetricsTool(Tool):
         )
         self.instant_seconds = r.counter(
             "profile_event_sim_seconds_total", "modeled seconds charged by instants"
-        )
-        # Kernel-graph plan-cache effectiveness.  The cache itself emits
-        # through metrics.inc into every attached sink; registering the
-        # families up-front keeps them visible (at zero) in --metrics-out
-        # exports even for runs that never enable graph mode.
-        self.graph_plan_hits = r.counter(
-            "graph_plan_hits_total", "fused-plan cache hits by plan"
-        )
-        self.graph_plan_misses = r.counter(
-            "graph_plan_misses_total",
-            "fused-plan cache misses (capture required) by plan",
-        )
-        self.graph_fused_nodes = r.counter(
-            "graph_fused_nodes_total", "dispatches folded into fused groups, by plan"
         )
         # QEq solver accounting.  The CG generator emits through metrics.inc
         # per solve; registering the families up-front keeps them visible

@@ -12,8 +12,6 @@ Every global or per-rank switch the codebase exposes is described here as a
   These are a *joint* dimension because full lists require newton off.
 * ``sort``     — spatial atom-sort interval (``atom_modify sort``).
 * ``overlap``  — halo-exchange/compute overlap (ensembles only).
-* ``graph``    — kernel-graph capture/fuse/replay of the force step
-  (``on``/``off``), the global override in :mod:`repro.graph.plan`.
 
 :func:`enumerate_pair_configs` / :func:`enumerate_neighbor_configs` produce
 the candidate cells the tuner measures for each kernel;
@@ -26,9 +24,6 @@ than the noise band.
 from __future__ import annotations
 
 from repro.core.neighbor import LEGACY, SHARED, set_stencil_mode, stencil_mode
-from repro.graph.plan import OFF as GRAPH_OFF
-from repro.graph.plan import ON as GRAPH_ON
-from repro.graph.plan import graph_mode, set_graph_mode
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -44,8 +39,7 @@ NEIGH = "neigh"
 NEWTON = "newton"
 SORT = "sort"
 OVERLAP = "overlap"
-GRAPH = "graph"
-ALL_KEYS = (SCATTER, STENCIL, NEIGH, NEWTON, SORT, OVERLAP, GRAPH)
+ALL_KEYS = (SCATTER, STENCIL, NEIGH, NEWTON, SORT, OVERLAP)
 
 #: QEq solver dimensions — present only when the workload's pair style is
 #: ReaxFF (it exposes ``set_qeq_options``); other styles never see them.
@@ -124,19 +118,12 @@ def enumerate_pair_configs(target) -> list[dict]:
     configs = []
     for neigh, newton in list_cells(root):
         for scatter in (ATOMIC, SEGMENTED):
-            for graph in (GRAPH_OFF, GRAPH_ON):
-                for overlap in overlaps:
-                    for qeq in qeq_cells:
-                        cfg = {
-                            SCATTER: scatter,
-                            NEIGH: neigh,
-                            NEWTON: newton,
-                            GRAPH: graph,
-                            **qeq,
-                        }
-                        if overlap is not None:
-                            cfg[OVERLAP] = overlap
-                        configs.append(cfg)
+            for overlap in overlaps:
+                for qeq in qeq_cells:
+                    cfg = {SCATTER: scatter, NEIGH: neigh, NEWTON: newton, **qeq}
+                    if overlap is not None:
+                        cfg[OVERLAP] = overlap
+                    configs.append(cfg)
     return configs
 
 
@@ -171,7 +158,6 @@ def snapshot_config(target, keys=None) -> dict:
         NEWTON: "on" if newton else "off",
         SORT: str(max(root.sort_every, 0)),
         OVERLAP: "on" if getattr(root, "overlap_comm", False) else "off",
-        GRAPH: graph_mode(),
     }
     capable = qeq_capable(root)
     if capable:
@@ -195,8 +181,6 @@ def apply_config(target, config: dict) -> None:
         set_scatter_mode(config[SCATTER])
     if STENCIL in config:
         set_stencil_mode(config[STENCIL])
-    if GRAPH in config:
-        set_graph_mode(config[GRAPH])
     for lmp in ranks_of(target):
         pair = lmp.pair
         if NEIGH in config or NEWTON in config:
@@ -241,8 +225,6 @@ def short_label(config: dict) -> str:
         parts.append("s" + config[SORT])
     if config.get(OVERLAP) == "on":
         parts.append("ov")
-    if config.get(GRAPH) == GRAPH_ON:
-        parts.append("gr")
     if config.get(QEQ_PRECOND, "none") != "none":
         parts.append("p" + config[QEQ_PRECOND][:1])
     if config.get(QEQ_EXTRAP, "none") != "none":

@@ -214,11 +214,11 @@ class TestProfileStore:
 
         kk.initialize("H100")
         cfg = mode_config()
-        assert set(cfg) == {"device", "scatter", "stencil", "graph"}
+        assert set(cfg) == {"device", "scatter", "stencil"}
         assert "H100" in cfg["device"]
         key = config_key(cfg)
         assert key.startswith("device=")
-        assert "scatter=" in key and "stencil=" in key and "graph=" in key
+        assert "scatter=" in key and "stencil=" in key
 
 
 # ------------------------------------------------------------------ the tool

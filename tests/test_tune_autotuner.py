@@ -18,7 +18,6 @@ from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
 from repro.core.errors import InputError
 from repro.core.neighbor import set_stencil_mode
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 
@@ -29,11 +28,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 def _reset_modes():
     set_scatter_mode(None)
     set_stencil_mode(None)
-    set_graph_mode(None)
     yield
     set_scatter_mode(None)
     set_stencil_mode(None)
-    set_graph_mode(None)
 
 
 def _run_autotuned(steps=15):

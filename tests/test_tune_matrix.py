@@ -28,7 +28,6 @@ from repro.core.neighbor import (
     set_stencil_mode,
     stencil_mode,
 )
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -53,7 +52,6 @@ def _reset_modes():
     yield
     set_scatter_mode(None)
     set_stencil_mode(None)
-    set_graph_mode(None)
     set_qeq_spmv_mode(None)
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import make_melt
 from repro.core.neighbor import set_stencil_mode
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
@@ -25,7 +24,6 @@ def _reset_modes():
     yield
     set_scatter_mode(None)
     set_stencil_mode(None)
-    set_graph_mode(None)
 
 
 def _tune_melt(plan_path, profile_path=None, seed=7):

@@ -17,7 +17,6 @@ import pytest
 
 from conftest import make_melt
 from repro.core.neighbor import set_stencil_mode
-from repro.graph import set_graph_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tools import metrics
 from repro.tune import Autotuner
@@ -29,7 +28,6 @@ def _reset_modes():
     yield
     set_scatter_mode(None)
     set_stencil_mode(None)
-    set_graph_mode(None)
 
 
 def _tune_melt(profile_path, rel_floor=None):
