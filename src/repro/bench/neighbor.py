@@ -1,4 +1,4 @@
-"""Wall-clock neighbor-subsystem benchmark: shared BinGrid vs legacy builder.
+"""Wall-clock neighbor-subsystem benchmark: the shared-BinGrid build pipeline.
 
 The neighbor overhaul (shared :class:`~repro.core.bin_grid.BinGrid`,
 half-stencil builds, skin-amortized multi-cutoff lists, spatial atom
@@ -7,11 +7,10 @@ sorting) targets the cost that dominates once force kernels are fast
 wall-clock seconds, and records the numbers to ``BENCH_neighbor.json``:
 
 * ``rebuild`` — one isolated ``build_neighbor_list`` call on the melt
-  configuration, legacy 27-stencil path vs the shared-grid half-stencil
-  path, on frozen coordinates (the acceptance-criterion measurement).
-* ``step`` — end-to-end ``run()`` wall clock per step in both modes, so
-  regressions anywhere in the rebuild pipeline (sorting, grid assembly,
-  bond-list caching) show up against the old builder.
+  configuration, on frozen coordinates.
+* ``step`` — end-to-end ``run()`` wall clock per step, so regressions
+  anywhere in the rebuild pipeline (sorting, grid assembly, bond-list
+  caching) show up in the regression sentinel.
 * ``grid_builds_per_rebuild`` — on the ReaxFF HNS workload, the number of
   :class:`BinGrid` assemblies per neighbor rebuild.  Exactly 1.0 means the
   pair list *and* the bond-search list shared one grid; the pre-overhaul
@@ -20,8 +19,9 @@ wall-clock seconds, and records the numbers to ``BENCH_neighbor.json``:
 The ``<name>_seconds`` point estimates are best-of-``repeats`` (robust
 against scheduler noise on shared CI runners); sibling ``<name>_stats``
 blocks record min/median/stdev/repeats for the regression sentinel's noise
-band (:mod:`repro.bench.stats`).  Mode comparisons run on fresh,
-identically-seeded engines.
+band (:mod:`repro.bench.stats`).  Every sample runs on a fresh,
+identically-seeded engine.  Measurements sit under the ``shared`` mode
+key, which the committed baselines use.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ import time
 import repro.potentials  # noqa: F401  (register pair styles)
 import repro.reaxff  # noqa: F401
 import repro.snap  # noqa: F401
+from repro.bench.hotpath import _record
 from repro.bench.registry import register_bench
-from repro.bench.stats import SCHEMA_VERSION, summarize, validate_bench
+from repro.bench.stats import SCHEMA_VERSION, validate_bench
 from repro.core import Lammps
 from repro.core.bin_grid import BinGrid
-from repro.core.neighbor import (
-    LEGACY,
-    SHARED,
-    build_neighbor_list,
-    force_stencil_mode,
-)
+from repro.core.neighbor import build_neighbor_list
 from repro.workloads.hns import setup_hns
 from repro.workloads.melt import setup_melt
 from repro.workloads.tantalum import setup_tantalum
@@ -51,7 +47,10 @@ DEFAULT_OUT = "BENCH_neighbor.json"
 
 #: every workload row carries these keys — the schema guard in the test
 #: suite pins them so downstream tooling can rely on the file shape
-ROW_KEYS = ("workload", "pair_style", "natoms", "step_seconds", "step_speedup")
+ROW_KEYS = ("workload", "pair_style", "natoms", "step_seconds")
+
+#: mode key of every ``<name>_seconds`` / ``<name>_stats`` block
+MODE = "shared"
 
 
 def _fresh(workload: str) -> Lammps:
@@ -71,36 +70,21 @@ def _fresh(workload: str) -> Lammps:
     return lmp
 
 
-def _step_samples(workload: str, nsteps: int, repeats: int) -> dict:
-    """Per-step wall-second samples for ``nsteps`` dynamics, both modes.
-
-    Modes are interleaved within each repeat — running all of one mode's
-    repeats before the other lets slow machine-load drift masquerade as a
-    speedup (or a regression) between the two halves of the measurement.
-    """
-    samples: dict = {LEGACY: [], SHARED: []}
+def _step_samples(workload: str, nsteps: int, repeats: int) -> list[float]:
+    """Per-step wall-second samples for ``nsteps`` dynamics."""
+    samples = []
     for _ in range(repeats):
-        for mode in (LEGACY, SHARED):
-            with force_stencil_mode(mode):
-                lmp = _fresh(workload)
-                lmp.run(2)  # warmup: JIT-less but primes allocators/caches
-                t0 = time.perf_counter()
-                lmp.run(nsteps)
-                samples[mode].append((time.perf_counter() - t0) / nsteps)
+        lmp = _fresh(workload)
+        lmp.run(2)  # warmup: JIT-less but primes allocators/caches
+        t0 = time.perf_counter()
+        lmp.run(nsteps)
+        samples.append((time.perf_counter() - t0) / nsteps)
     return samples
 
 
-def _record(row: dict, name: str, samples: dict) -> None:
-    """File per-mode repeat samples under ``<name>_seconds`` (min, the
-    historical point estimate) and ``<name>_stats`` (full summary)."""
-    row[f"{name}_seconds"] = {m: min(s) for m, s in samples.items()}
-    row[f"{name}_stats"] = {m: summarize(s) for m, s in samples.items()}
-
-
 def bench_melt(repeats: int = 5, nsteps: int = 20) -> dict:
-    """Melt rows: isolated rebuild wall clock (the 2x criterion) + steps."""
-    with force_stencil_mode(SHARED):
-        lmp = _fresh("melt")
+    """Melt row: isolated rebuild wall clock + steps."""
+    lmp = _fresh("melt")
     atom = lmp.atom
     x = atom.x[: atom.nall].copy()  # frozen coordinates: identical work
     nlocal = atom.nlocal
@@ -114,24 +98,14 @@ def bench_melt(repeats: int = 5, nsteps: int = 20) -> dict:
         "pairs": int(lmp.neigh_list.total_pairs),
         "repeats": repeats,
     }
-    rebuild: dict = {LEGACY: [], SHARED: []}
-    for mode in (LEGACY, SHARED):  # warm both paths before timing
-        with force_stencil_mode(mode):
-            build_neighbor_list(x, nlocal, cutghost, style=style, newton=newton)
-    for _ in range(repeats):  # interleaved: drift hits both modes alike
-        for mode in (LEGACY, SHARED):
-            with force_stencil_mode(mode):
-                t0 = time.perf_counter()
-                build_neighbor_list(
-                    x, nlocal, cutghost, style=style, newton=newton
-                )
-                rebuild[mode].append(time.perf_counter() - t0)
-    _record(out, "rebuild", rebuild)
-    _record(out, "step", _step_samples("melt", nsteps, 2))
-    out["rebuild_speedup"] = (
-        out["rebuild_seconds"][LEGACY] / out["rebuild_seconds"][SHARED]
-    )
-    _finish(out)
+    build_neighbor_list(x, nlocal, cutghost, style=style, newton=newton)  # warm
+    rebuild = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        build_neighbor_list(x, nlocal, cutghost, style=style, newton=newton)
+        rebuild.append(time.perf_counter() - t0)
+    _record(out, "rebuild", MODE, rebuild)
+    _record(out, "step", MODE, _step_samples("melt", nsteps, 2))
     return out
 
 
@@ -146,41 +120,32 @@ def bench_hns(nsteps: int = 12) -> dict:
         "workload": "hns",
         "pair_style": "reaxff",
     }
-    _record(out, "step", _step_samples("hns", nsteps, 2))
-    with force_stencil_mode(SHARED):
-        lmp = _fresh("hns")
-        builds0 = lmp.neighbor.builds
-        grids0 = BinGrid.builds_total
-        lmp.run(nsteps)
-        rebuilds = lmp.neighbor.builds - builds0
-        grids = BinGrid.builds_total - grids0
+    _record(out, "step", MODE, _step_samples("hns", nsteps, 2))
+    lmp = _fresh("hns")
+    builds0 = lmp.neighbor.builds
+    grids0 = BinGrid.builds_total
+    lmp.run(nsteps)
+    rebuilds = lmp.neighbor.builds - builds0
+    grids = BinGrid.builds_total - grids0
     out["natoms"] = int(lmp.natoms_total)
     out["steps"] = nsteps
     out["rebuilds"] = int(rebuilds)
     out["grid_builds_per_rebuild"] = grids / max(rebuilds, 1)
-    _finish(out)
     return out
 
 
 def bench_tantalum(nsteps: int = 3, repeats: int = 3) -> dict:
-    """SNAP/Ta row: the expensive-force regime, where neighbor cost must at
-    least never regress end-to-end."""
+    """SNAP/Ta row: the expensive-force regime, where neighbor cost is a
+    sliver of the step."""
     out: dict = {
         "workload": "tantalum",
         "pair_style": "snap",
     }
-    _record(out, "step", _step_samples("tantalum", nsteps, repeats))
-    with force_stencil_mode(SHARED):
-        lmp = _fresh("tantalum")
+    _record(out, "step", MODE, _step_samples("tantalum", nsteps, repeats))
+    lmp = _fresh("tantalum")
     out["natoms"] = int(lmp.natoms_total)
     out["steps"] = nsteps
-    _finish(out)
     return out
-
-
-def _finish(row: dict) -> None:
-    step = row["step_seconds"]
-    row["step_speedup"] = step[LEGACY] / step[SHARED]
 
 
 def validate_neighbor_bench(results: dict) -> None:
@@ -202,19 +167,17 @@ def validate_neighbor_bench(results: dict) -> None:
                 raise ValueError(
                     f"workload row {row.get('workload', '?')!r} missing {key!r}"
                 )
-        for mode in (LEGACY, SHARED):
-            if mode not in row["step_seconds"]:
-                raise ValueError(
-                    f"workload {row['workload']!r} missing {mode} step timing"
-                )
+        if MODE not in row["step_seconds"]:
+            raise ValueError(
+                f"workload {row['workload']!r} missing {MODE} step timing"
+            )
         names.append(row["workload"])
     for required in ("melt", "hns", "tantalum"):
         if required not in names:
             raise ValueError(f"neighbor bench missing workload {required!r}")
     melt = results["workloads"][names.index("melt")]
-    for key in ("rebuild_seconds", "rebuild_speedup"):
-        if key not in melt:
-            raise ValueError(f"melt row missing {key!r}")
+    if "rebuild_seconds" not in melt:
+        raise ValueError("melt row missing 'rebuild_seconds'")
     hns = results["workloads"][names.index("hns")]
     if "grid_builds_per_rebuild" not in hns:
         raise ValueError("hns row missing 'grid_builds_per_rebuild'")
@@ -250,20 +213,16 @@ def run_neighbor_bench(
 
 
 def format_neighbor_report(results: dict) -> str:
-    lines = ["neighbor wall clock: shared bin grid vs legacy 27-stencil"]
+    lines = ["neighbor wall clock: shared bin grid"]
     for row in results["workloads"]:
         lines.append(
             f"  {row['workload']:<9} natoms={row['natoms']:<6} "
-            f"step {row['step_seconds'][LEGACY] * 1e3:8.3f} -> "
-            f"{row['step_seconds'][SHARED] * 1e3:8.3f} ms  "
-            f"({row['step_speedup']:.2f}x)"
+            f"step {row['step_seconds'][MODE] * 1e3:8.3f} ms"
         )
         if "rebuild_seconds" in row:
             lines.append(
                 f"  {'':<9} isolated rebuild "
-                f"{row['rebuild_seconds'][LEGACY] * 1e3:8.3f} -> "
-                f"{row['rebuild_seconds'][SHARED] * 1e3:8.3f} ms  "
-                f"({row['rebuild_speedup']:.2f}x)"
+                f"{row['rebuild_seconds'][MODE] * 1e3:8.3f} ms"
             )
         if "grid_builds_per_rebuild" in row:
             lines.append(

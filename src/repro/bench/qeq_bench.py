@@ -4,8 +4,7 @@ The QEq charge solve dominates ReaxFF step time at scale, and this PR's
 three stacked optimizations each attack a different term of its cost:
 
 * **fused dual-RHS SpMV** — one traversal of the matrix values/columns
-  feeds both CG systems, halving the bytes streamed per iteration versus
-  the double-traversal baseline (kept available as the ``dual`` mode);
+  feeds both CG systems (``spmv_bytes_per_iteration`` records one pass);
 * **preconditioning** — Jacobi (free, from the stored diagonal) and SSOR
   (a triangular sweep per application) shrink the CG iteration count at
   identical convergence tolerance;
@@ -35,22 +34,19 @@ from repro.bench.hotpath import _record
 from repro.bench.registry import register_bench
 from repro.bench.stats import SCHEMA_VERSION, validate_bench
 from repro.core import Lammps
-from repro.reaxff.qeq import DUAL, FUSED, force_qeq_spmv_mode
 from repro.workloads.hns import setup_hns
 
 #: default output file (repo-root relative when run from the checkout)
 DEFAULT_OUT = "BENCH_qeq.json"
 
-#: configuration cells: label -> (qeq_precond, qeq_extrap, spmv mode).
-#: ``cold`` is the historical solver (no preconditioner, cold start, fused
-#: traversal); ``dual`` isolates the fusion win by re-running ``cold`` with
-#: the double-traversal SpMV; the rest stack the new solver features.
+#: configuration cells: label -> (qeq_precond, qeq_extrap).  ``cold`` is
+#: the historical solver (no preconditioner, cold start); the rest stack
+#: the new solver features.
 MODES = (
-    ("cold", "none", "none", FUSED),
-    ("dual", "none", "none", DUAL),
-    ("jacobi", "jacobi", "none", FUSED),
-    ("jacobi+x2", "jacobi", "2", FUSED),
-    ("ssor+x2", "ssor", "2", FUSED),
+    ("cold", "none", "none"),
+    ("jacobi", "jacobi", "none"),
+    ("jacobi+x2", "jacobi", "2"),
+    ("ssor+x2", "ssor", "2"),
 )
 
 #: solves excluded from ``mean_iterations``: the extrapolation ring needs
@@ -81,15 +77,14 @@ def bench_hns_qeq(steps: int = 12, repeats: int = 3) -> dict:
         "mean_iterations": {},
         "spmv_bytes_per_iteration": {},
     }
-    for label, precond, extrap, mode in MODES:
+    for label, precond, extrap in MODES:
         samples: list[float] = []
         paths: set[tuple[int, ...]] = set()
         for _ in range(repeats):
-            with force_qeq_spmv_mode(mode):
-                lmp = _build(precond, extrap)
-                t0 = time.perf_counter()
-                lmp.run(steps)
-                samples.append(time.perf_counter() - t0)
+            lmp = _build(precond, extrap)
+            t0 = time.perf_counter()
+            lmp.run(steps)
+            samples.append(time.perf_counter() - t0)
             paths.add(tuple(lmp.pair.qeq_iters_history))
         if len(paths) != 1:
             raise ValueError(
@@ -108,9 +103,7 @@ def bench_hns_qeq(steps: int = 12, repeats: int = 3) -> dict:
             "qeq_spmv_bytes_per_iteration"
         ]
     mean = row["mean_iterations"]
-    bpi = row["spmv_bytes_per_iteration"]
     row["iteration_speedup"] = mean["cold"] / mean["jacobi+x2"]
-    row["fused_bytes_ratio"] = bpi["cold"] / bpi["dual"]
     return row
 
 
@@ -147,7 +140,7 @@ def format_qeq_report(results: dict) -> str:
             f"tol={row['qeq_tol']:g} steps={row['steps']} "
             f"(means over solves {row['warmup_solves']}..)"
         )
-        for label, _, _, _ in MODES:
+        for label, _, _ in MODES:
             lines.append(
                 f"    {label:<10} {row['mean_iterations'][label]:6.2f} "
                 f"iters/solve  "
@@ -156,7 +149,6 @@ def format_qeq_report(results: dict) -> str:
             )
         lines.append(
             f"    iteration speedup (cold vs jacobi+x2): "
-            f"{row['iteration_speedup']:.2f}x; fused traversal streams "
-            f"{row['fused_bytes_ratio']:.2f}x the dual-pass bytes"
+            f"{row['iteration_speedup']:.2f}x"
         )
     return "\n".join(lines)

@@ -34,7 +34,7 @@ class OverflowGuardError(LammpsError):
 def unknown_choice(kind, got, choices, *, extra=""):
     """Error text for a bad name from a closed set, with a did-you-mean hint.
 
-    Shared by the mode setters (scatter/stencil), the autotuner, and the
+    Shared by the scatter-mode setter, the autotuner, and the
     ``--tools`` factory so every "unknown X" message reads the same way:
     the offending name, the closest registered match, and the full choice
     list.  ``extra`` is appended verbatim after the list.

@@ -252,19 +252,16 @@ def neighbor_build_profiles(
     pairs: int,
     nall: int,
     nlocal: int,
-    binned: bool = True,
     sorted_atoms: bool = False,
 ) -> list[KernelProfile]:
     """Priced kernels of one neighbor rebuild (paper section 4.1).
 
     Three launches mirror the build pipeline:
 
-    * ``NeighborBinAssembly`` — the counting-sort bin pass: stream the
+    * ``NeighborBinAssembly`` — the counting-sort bin pass that assembles
+      the per-rebuild :class:`~repro.core.bin_grid.BinGrid`: stream the
       coordinates once, scatter-count into bin counters (the atomic term),
-      then write the bin-major permutation and its inverse.  Emitted only
-      when a fresh grid was assembled — a list served by the shared
-      per-rebuild grid skips it, which is exactly the saving the shared
-      :class:`~repro.core.bin_grid.BinGrid` buys.
+      then write the bin-major permutation and its inverse.
     * ``NeighborBuild`` — the stencil scan + distance filter.  The formula
       is deliberately kept from the pre-overhaul model (it conservatively
       folds the bin counters in), so figure projections are comparable
@@ -286,16 +283,15 @@ def neighbor_build_profiles(
                 parallel_items=float(max(nlocal, 1)),
             )
         )
-    if binned:
-        profiles.append(
-            KernelProfile(
-                name="NeighborBinAssembly",
-                # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
-                bytes_streamed=48.0 * nall,
-                atomic_ops=float(nall),  # scatter-count into bin counters
-                parallel_items=float(max(nall, 1)),
-            )
+    profiles.append(
+        KernelProfile(
+            name="NeighborBinAssembly",
+            # coordinates in (24 B) + key/order/inverse passes (3 x 8 B)
+            bytes_streamed=48.0 * nall,
+            atomic_ops=float(nall),  # scatter-count into bin counters
+            parallel_items=float(max(nall, 1)),
         )
+    )
     profiles.append(
         KernelProfile(
             name="NeighborBuild",

@@ -17,8 +17,7 @@ Paper sections 4.2.2-4.2.3 in full:
   the direction vectors stack into one ``(nall, 2)`` operand so a single
   load of the ``vals``/``cols`` stream feeds both products
   (:meth:`QEqMatrix.spmv2`) — the optimization AMD contributed to the
-  Kokkos version.  The historical double-traversal path is kept behind
-  :func:`force_qeq_spmv_mode` as a benchmark baseline.  The equilibrated
+  Kokkos version.  The equilibrated
   charges are ``q = s - t * (sum s / sum t)``, which enforces charge
   neutrality.
 
@@ -40,7 +39,6 @@ identical tolerance — the property the iteration-count benchmarks rely on.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -51,46 +49,6 @@ from repro.kokkos.segment import ATOMIC, scatter_mode
 from repro.reaxff.nonbonded import shielded_kernel, taper
 from repro.reaxff.params import ReaxParams
 from repro.tools import metrics
-
-# --------------------------------------------------------------- spmv mode
-#: one matrix traversal feeds both right-hand sides (the paper's fusion)
-FUSED = "fused"
-#: two sequential traversals — the pre-fusion benchmark baseline
-DUAL = "dual"
-
-_SPMV_MODES = (FUSED, DUAL)
-
-_spmv_mode: str = FUSED
-
-
-def qeq_spmv_mode() -> str:
-    """The active dual-RHS traversal mode (``fused`` unless forced)."""
-    return _spmv_mode
-
-
-def set_qeq_spmv_mode(mode: str | None) -> str | None:
-    """Install the traversal mode (None restores ``fused``); return the old.
-
-    Unknown names fail here, at the setter, with a did-you-mean hint — the
-    same contract as the scatter/stencil mode setters.
-    """
-    global _spmv_mode
-    if mode is not None and mode not in _SPMV_MODES:
-        raise ValueError(unknown_choice("qeq spmv mode", mode, _SPMV_MODES))
-    prev = _spmv_mode
-    _spmv_mode = FUSED if mode is None else mode
-    return prev
-
-
-@contextmanager
-def force_qeq_spmv_mode(mode: str | None) -> Iterator[None]:
-    """Pin the dual-RHS traversal mode for a benchmark scope."""
-    prev = set_qeq_spmv_mode(mode)
-    try:
-        yield
-    finally:
-        set_qeq_spmv_mode(prev)
-
 
 @dataclass
 class QEqMatrix:
@@ -162,8 +120,8 @@ class QEqMatrix:
         per-rebuild row-segment plan reduces both columns in one
         ``reduceat(..., axis=0)``.  Each column accumulates in exactly the
         order :meth:`spmv` uses, so the fused result is bitwise identical
-        to two single-RHS traversals — the equivalence the dual-mode tests
-        and the golden baselines rely on.
+        to two single-RHS traversals — the equivalence the spmv tests and
+        the golden baselines rely on.
         """
         rows, cols, vals = self._compact()
         out = self.diag[:, None] * vec2_all[: self.nlocal]
@@ -174,17 +132,15 @@ class QEqMatrix:
             out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts, axis=0)
         return out
 
-    def traversal_bytes(self, mode: str | None = None) -> int:
+    def traversal_bytes(self) -> int:
         """Matrix-stream bytes loaded per dual-RHS product.
 
-        Counts the compacted value/column arrays actually traversed: the
-        fused mode streams them once for both right-hand sides, the dual
-        baseline twice.  Vector gathers are excluded — they are identical
-        in both modes, and the point of the fusion is the matrix stream.
+        Counts the compacted value/column arrays :meth:`spmv2` traverses,
+        once for both right-hand sides.  Vector gathers are excluded: the
+        point of the fusion is the matrix stream.
         """
         self._compact()
-        per_pass = self._vals_flat.nbytes + self._cols_flat.nbytes
-        return per_pass if (mode or qeq_spmv_mode()) == FUSED else 2 * per_pass
+        return self._vals_flat.nbytes + self._cols_flat.nbytes
 
     @property
     def stored_slots(self) -> int:
@@ -442,7 +398,7 @@ def fused_cg_gen(
     One generator drives both recurrences so each iteration traverses the
     matrix once (section 4.2.3's kernel fusion / work batching: the two
     right-hand-side streams hide behind the single matrix-element stream —
-    :meth:`QEqMatrix.spmv2`, unless the ``dual`` baseline mode is forced).
+    :meth:`QEqMatrix.spmv2`).
 
     ``precond`` (from :func:`make_preconditioner`) turns the recurrence into
     preconditioned CG; ``x0 = (s0, t0)`` seeds the iterates (one extra
@@ -474,13 +430,7 @@ def fused_cg_gen(
         yield from lmp.comm_brick.forward_comm_fields(atom, ("rho", "fp"))
 
     def _dual_spmv() -> np.ndarray:
-        if qeq_spmv_mode() == DUAL:
-            # benchmark baseline: two full matrix traversals
-            return np.column_stack(
-                (matrix.spmv(atom.rho[:nall]), matrix.spmv(atom.fp[:nall]))
-            )
-        vec2 = np.column_stack((atom.rho[:nall], atom.fp[:nall]))
-        return matrix.spmv2(vec2)
+        return matrix.spmv2(np.column_stack((atom.rho[:nall], atom.fp[:nall])))
 
     traversals = 0
     if x0 is None:
@@ -570,9 +520,7 @@ def fused_cg_gen(
         seeded = "yes" if x0 is not None else "no"
         metrics.inc("qeq_solves_total", precond=pname, seeded=seeded)
         metrics.inc("qeq_iterations_total", it, precond=pname, seeded=seeded)
-        metrics.inc(
-            "qeq_spmv_bytes_total", out["spmv_bytes"], mode=qeq_spmv_mode()
-        )
+        metrics.inc("qeq_spmv_bytes_total", out["spmv_bytes"])
 
 
 def equilibrate_charges_gen(

@@ -284,7 +284,6 @@ def mode_config() -> dict[str, str]:
     Imported lazily — this is the one place the metrics core reaches into
     the rest of ``repro``, and only when a sink actually asks.
     """
-    from repro.core.neighbor import stencil_mode
     from repro.kokkos.core import device_context, is_initialized
     from repro.kokkos.segment import scatter_mode
 
@@ -295,7 +294,6 @@ def mode_config() -> dict[str, str]:
     return {
         "device": device,
         "scatter": scatter_mode(),
-        "stencil": stencil_mode(),
     }
 
 
@@ -456,7 +454,7 @@ class MetricsTool(Tool):
         )
         self.qeq_spmv_bytes = r.counter(
             "qeq_spmv_bytes_total",
-            "QEq matrix-stream bytes traversed, by spmv mode (fused/dual)",
+            "QEq matrix-stream bytes traversed by the fused dual-RHS SpMV",
         )
         # Replica batching/session accounting.  The ReplicaBatch and
         # SessionManager emit through metrics.set_gauge/observe into every

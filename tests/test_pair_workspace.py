@@ -24,7 +24,6 @@ import pytest
 from conftest import gather_by_tag, make_melt
 from repro.core import Lammps
 from repro.core import lammps as lammps_mod
-from repro.core.neighbor import LEGACY, SHARED, force_stencil_mode
 from repro.kokkos.scatter_view import ScatterView
 from repro.kokkos.segment import (
     ATOMIC,
@@ -206,13 +205,15 @@ def assert_workspace_matches_oracle(lmp, tag, phase="all"):
 
 
 # ------------------------------------------------------- lj matrix (kk/host)
-def test_melt_kk_workspace_bitwise_across_scatter_stencil_matrix():
+def test_melt_kk_workspace_bitwise_across_scatter_sort_matrix():
     lmp = make_melt(device="H100", suffix="kk")
     lmp.run(0)
-    for scatter, stencil in itertools.product((ATOMIC, SEGMENTED), (SHARED, LEGACY)):
-        with force_scatter_mode(scatter), force_stencil_mode(stencil):
+    default_sort = lmp.sort_every
+    for scatter, sort_every in itertools.product((ATOMIC, SEGMENTED), (default_sort, 0)):
+        lmp.sort_every = sort_every
+        with force_scatter_mode(scatter):
             drain(lmp.rebuild_gen())
-            assert_workspace_matches_oracle(lmp, f"melt-kk {scatter}/{stencil}")
+            assert_workspace_matches_oracle(lmp, f"melt-kk {scatter}/sort={sort_every}")
 
 
 LIST_CELLS = {

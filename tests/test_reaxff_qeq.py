@@ -1,8 +1,8 @@
 """QEq solver acceleration: fusion, preconditioning, history extrapolation.
 
 Covers the rebuilt charge solve end to end: the enforced appendix-B
-overflow guards in the matrix build, bitwise fused-vs-double-traversal
-equivalence across scatter modes, preconditioned convergence at identical
+overflow guards in the matrix build, bitwise fused-vs-single-RHS SpMV
+equivalence, preconditioned convergence at identical
 tolerance, the permutation/migration safety of the charge-history ring
 (custom per-atom fields), the packed two-vector forward exchange, golden
 iteration counts on HNS, and 1-vs-N-rank decomposition invariance of the
@@ -25,27 +25,12 @@ from conftest import gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
 from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
-from repro.reaxff.qeq import (
-    DUAL,
-    FUSED,
-    HISTORY_DEPTH,
-    build_qeq_matrix,
-    force_qeq_spmv_mode,
-    make_preconditioner,
-    qeq_spmv_mode,
-    set_qeq_spmv_mode,
-)
+from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
 from repro.tools import metrics
 from repro.tools.metrics import MetricsRegistry
 from repro.workloads.hns import setup_hns
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-
-@pytest.fixture(autouse=True)
-def _reset_spmv_mode():
-    yield
-    set_qeq_spmv_mode(None)
 
 
 def make_hns(nranks=1, precond="none", extrap="none", cells=(1, 2, 2), tol=None):
@@ -94,24 +79,6 @@ class TestOverflowGuards:
 
 # --------------------------------------------------------- spmv fusion
 class TestFusedSpmv:
-    @pytest.mark.parametrize("scatter", [ATOMIC, SEGMENTED])
-    def test_fused_bitwise_equals_double_traversal(self, scatter):
-        """One traversal for both RHS must reproduce two traversals exactly,
-        in both scatter modes — so the fused default never shifts goldens."""
-        results = {}
-        for mode in (FUSED, DUAL):
-            with force_scatter_mode(scatter), force_qeq_spmv_mode(mode):
-                lmp = make_hns()
-                lmp.run(2)
-            results[mode] = (
-                gather_by_tag(lmp, "q"),
-                list(lmp.pair.qeq_iters_history),
-            )
-        q_fused, it_fused = results[FUSED]
-        q_dual, it_dual = results[DUAL]
-        assert np.array_equal(q_fused, q_dual)  # bitwise
-        assert it_fused == it_dual
-
     def test_spmv2_matches_two_spmv_calls_bitwise(self):
         lmp = make_hns()
         lmp.run(0)
@@ -123,11 +90,14 @@ class TestFusedSpmv:
         )
         rng = np.random.default_rng(7)
         vec2 = rng.normal(size=(atom.nall, 2))
-        fused = m.spmv2(vec2)
-        assert np.array_equal(fused[:, 0], m.spmv(vec2[:, 0]))
-        assert np.array_equal(fused[:, 1], m.spmv(vec2[:, 1]))
+        # both scatter modes: the fused solve must never shift goldens
+        for scatter in (ATOMIC, SEGMENTED):
+            with force_scatter_mode(scatter):
+                fused = m.spmv2(vec2)
+                assert np.array_equal(fused[:, 0], m.spmv(vec2[:, 0])), scatter
+                assert np.array_equal(fused[:, 1], m.spmv(vec2[:, 1])), scatter
 
-    def test_traversal_bytes_mode_accounting(self):
+    def test_traversal_bytes_count_one_matrix_pass(self):
         lmp = make_hns()
         lmp.run(0)
         atom, pair = lmp.atom, lmp.pair
@@ -136,9 +106,8 @@ class TestFusedSpmv:
             atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
             lmp.update.units.qqr2e,
         )
-        assert m.traversal_bytes(DUAL) == 2 * m.traversal_bytes(FUSED)
-        assert qeq_spmv_mode() == FUSED
-        assert m.traversal_bytes() == m.traversal_bytes(FUSED)
+        _, cols, vals = m._compact()
+        assert m.traversal_bytes() == vals.nbytes + cols.nbytes
 
 
 # ------------------------------------------------------ preconditioning
@@ -177,10 +146,6 @@ class TestPreconditioning:
         lmp = make_hns()
         with pytest.raises(InputError, match="qeq_extrap"):
             lmp.pair.set_qeq_options(extrap="5")
-
-    def test_unknown_spmv_mode_rejected_at_setter(self):
-        with pytest.raises(ValueError, match="fused"):
-            set_qeq_spmv_mode("fussed")
 
     def test_pair_style_args_parse_qeq_knobs(self):
         lmp = Lammps()
@@ -310,7 +275,7 @@ class TestPackedForwardComm:
         total = sum(lmp.pair.qeq_iters_history)
         assert sum(iters.values.values()) == total
         spmv = sink.families["qeq_spmv_bytes_total"]
-        assert spmv.get(mode=FUSED) > 0
+        assert spmv.get() > 0
 
 
 # ---------------------------------------------------------------- golden

@@ -4,8 +4,8 @@ The whole premise of :mod:`repro.replica` is that folding R replicas into
 one stacked AtomVec and running one set of vectorized kernels changes the
 wall clock and *nothing else*.  These tests enforce that premise at the
 strictest level available — ``np.array_equal`` on positions, velocities,
-and thermo rows against fresh solo runs — across the scatter x stencil
-mode matrix, mid-flight joins, staggered early termination, and the
+and thermo rows against fresh solo runs — across the scatter x atom-sort
+matrix, mid-flight joins, staggered early termination, and the
 custom-field compaction the retirement path depends on.
 """
 
@@ -17,12 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core.errors import LammpsError
-from repro.core.neighbor import (
-    LEGACY,
-    SHARED,
-    force_stencil_mode,
-    set_stencil_mode,
-)
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
@@ -34,14 +28,14 @@ from repro.replica.batch import REPLICA_FIELD
 from repro.workloads import ReplicaSpec
 
 SCATTERS = (ATOMIC, SEGMENTED)
-STENCILS = (SHARED, LEGACY)
+#: atom-sort cells: the engine's default interval, and sorting off
+SORTS = {"sorted": None, "unsorted": 0}
 
 
 @pytest.fixture(autouse=True)
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
 
 
 def _specs(family: str, n: int, thermo: int = 10) -> list[ReplicaSpec]:
@@ -59,8 +53,15 @@ def _specs(family: str, n: int, thermo: int = 10) -> list[ReplicaSpec]:
     ]
 
 
-def _solo(spec: ReplicaSpec, steps: int):
+def _build(spec: ReplicaSpec, sort_every: int | None = None):
     lmp = spec.build()
+    if sort_every is not None:
+        lmp.sort_every = sort_every
+    return lmp
+
+
+def _solo(spec: ReplicaSpec, steps: int, sort_every: int | None = None):
+    lmp = _build(spec, sort_every)
     lmp.run(steps)
     return lmp
 
@@ -76,22 +77,20 @@ def _assert_bitwise(solo, member, label: str, thermo: bool = True) -> None:
 
 
 # ------------------------------------------------------ mode-matrix sweep
-@pytest.mark.parametrize(
-    "scatter,stencil", list(itertools.product(SCATTERS, STENCILS))
-)
-def test_melt_batch_bitwise_across_mode_matrix(scatter, stencil):
+@pytest.mark.parametrize("scatter,sort", list(itertools.product(SCATTERS, SORTS)))
+def test_melt_batch_bitwise_across_mode_matrix(scatter, sort):
     """16 LJ replicas, batch vs solo, bit-for-bit in every mode cell."""
-    with force_scatter_mode(scatter), force_stencil_mode(stencil):
+    with force_scatter_mode(scatter):
         specs = _specs("melt", 16)
-        solos = [_solo(s, 40) for s in specs]
-        batch = ReplicaBatch(label=f"{scatter}-{stencil}")
-        members = [s.build() for s in specs]
+        solos = [_solo(s, 40, SORTS[sort]) for s in specs]
+        batch = ReplicaBatch(label=f"{scatter}-{sort}")
+        members = [_build(s, SORTS[sort]) for s in specs]
         for m in members:
             batch.add_replica(m)
         batch.step(40)
         batch.finish()
     for i, (a, b) in enumerate(zip(solos, members)):
-        _assert_bitwise(a, b, f"{scatter}/{stencil} replica {i}")
+        _assert_bitwise(a, b, f"{scatter}/{sort} replica {i}")
     assert not batch.failures
 
 

@@ -17,7 +17,6 @@ import pytest
 from conftest import MELT_SCRIPT, make_melt
 from repro.core import Lammps
 from repro.core.errors import InputError
-from repro.core.neighbor import set_stencil_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 
@@ -27,10 +26,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.fixture(autouse=True)
 def _reset_modes():
     set_scatter_mode(None)
-    set_stencil_mode(None)
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
 
 
 def _run_autotuned(steps=15):
@@ -59,7 +56,6 @@ def test_autotune_deterministic_and_matches_golden(update_golden):
     config1 = lmp1.autotuner.result["config"]
 
     set_scatter_mode(None)
-    set_stencil_mode(None)
     lmp2, trace2 = _run_autotuned()
 
     # same seed + model measure: identical winners, bit-identical thermo

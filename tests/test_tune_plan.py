@@ -13,7 +13,6 @@ import json
 import pytest
 
 from conftest import make_melt
-from repro.core.neighbor import set_stencil_mode
 from repro.kokkos.segment import set_scatter_mode
 from repro.tune import Autotuner
 from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
@@ -23,7 +22,6 @@ from repro.tune.plan import SCHEMA_VERSION, TunePlanStore
 def _reset_modes():
     yield
     set_scatter_mode(None)
-    set_stencil_mode(None)
 
 
 def _tune_melt(plan_path, profile_path=None, seed=7):
@@ -52,7 +50,6 @@ def test_plan_round_trip_skips_search(tmp_path):
 
     # fresh tuner + fresh Lammps: only the file carries the winners over
     set_scatter_mode(None)
-    set_stencil_mode(None)
     second = _tune_melt(plan)
     assert second.probes == 0
     assert all(
@@ -99,13 +96,24 @@ def test_unsupported_planned_config_triggers_research(tmp_path):
         config={"scatter": "atomic", "neigh": "full", "newton": "on"},
         score=1.0, measure="model", repeats=2,
     )
+    # a plan saved when the neighbor build had a stencil-mode switch
+    store.record(
+        "melt", "host", "neighbor_build",
+        config={"stencil": "legacy", "sort": "1"},
+        score=1.0, measure="model", repeats=2,
+    )
     store.save()
-    # full+newton-on is not an enumerable cell: the plan entry cannot be
+    # full+newton-on is not an enumerable cell, and neither is a config
+    # naming a dimension that no longer exists: neither plan entry can be
     # applied, so the tuner searches instead of crashing
     tuner = _tune_melt(plan)
     assert tuner.probes > 0
-    cfg = tuner.result["kernels"]["pair_force"]["config"]
+    kernels = tuner.result["kernels"]
+    cfg = kernels["pair_force"]["config"]
     assert (cfg["neigh"], cfg["newton"]) != ("full", "on")
+    assert kernels["neighbor_build"]["source"] == "search"
+    assert "stencil" not in kernels["neighbor_build"]["config"]
+    assert "lg" not in tuner.result["label"].split("/")
 
 
 def test_profile_store_records_probed_cells(tmp_path):
