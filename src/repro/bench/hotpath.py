@@ -124,8 +124,10 @@ def bench_melt(cells: int = 8, repeats: int = 10) -> dict:
 
 
 def bench_tantalum(cells: int = 3, twojmax: int = 8, repeats: int = 3) -> dict:
-    """SNAP/Ta rows: full force step both modes (the scatters are embedded
-    in the U/Y/bispectrum contraction kernels, not separable)."""
+    """SNAP/Ta rows: full force step both modes.  Only two SNAP scatters
+    follow the mode: ComputeUi's per-atom accumulation of the half-set U
+    and the i/j force scatter; the Y and bispectrum contractions are
+    mode-independent reductions."""
     lmp = _build_tantalum(cells, twojmax)
     out: dict = {
         "workload": "tantalum",

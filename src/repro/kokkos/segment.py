@@ -85,7 +85,7 @@ def force_scatter_mode(mode: str | None) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------- reductions
-def _sorted_segments(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sorted_segments(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, targets)`` of the contiguous runs of a sorted index."""
     starts = np.flatnonzero(np.r_[True, index[1:] != index[:-1]])
     return starts, index[starts]
@@ -114,7 +114,7 @@ def segment_sum(
     if values.size == 0:
         return np.zeros(n, dtype=np.promote_types(values.dtype, np.float64))
     if assume_sorted:
-        starts, targets = _sorted_segments(index)
+        starts, targets = sorted_segments(index)
         out = np.zeros(n, dtype=np.promote_types(values.dtype, np.float64))
         out[targets] = np.add.reduceat(values, starts)
         return out
@@ -158,7 +158,7 @@ def segment_sum_vec(
         values, index = values[order], index[order]
         assume_sorted = True
     if assume_sorted:
-        starts, targets = _sorted_segments(index)
+        starts, targets = sorted_segments(index)
         out = np.zeros((n, ncols), dtype=out_dtype)
         out[targets] = np.add.reduceat(values, starts, axis=0)
         return out
@@ -257,46 +257,3 @@ def segment_slice_sums(
     for k in range(starts.shape[0]):
         out[k] = values[starts[k] : ends[k]].sum()
     return out
-
-
-# ----------------------------------------------------------- column scatters
-def column_scatter_plan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precompute ``(perm, starts, targets)`` for a column-wise scatter.
-
-    For ``out[:, cols[t]] += vals[:, t]`` with a fixed column index (SNAP's
-    contraction-tensor scatters), the stable permutation groups terms by
-    destination column; ``reduceat`` then reduces each group in one pass.
-    The plan depends only on ``cols`` and is memoized by the callers (it is
-    neighbor- and step-invariant: a property of the quantum-number tensor).
-    """
-    perm = np.argsort(cols, kind="stable")
-    sorted_cols = cols[perm]
-    starts, targets = _sorted_segments(sorted_cols)
-    return perm, starts, targets
-
-
-def scatter_add_columns(
-    out: np.ndarray,
-    vals: np.ndarray,
-    plan: tuple[np.ndarray, np.ndarray, np.ndarray],
-    *,
-    mode: str | None = None,
-    cols: np.ndarray | None = None,
-) -> None:
-    """``out[:, cols[t]] += vals[:, t]`` via a :func:`column_scatter_plan`.
-
-    In ``atomic`` mode (benchmark baseline) falls back to ``np.add.at`` with
-    the original ``cols`` (which must then be supplied).
-    """
-    if mode is None:
-        mode = scatter_mode()
-    if mode == ATOMIC:
-        if cols is None:
-            raise ValueError("atomic column scatter requires the original cols")
-        rows = np.arange(out.shape[0])[:, None]
-        np.add.at(out, (rows, cols[None, :]), vals)
-        return
-    if vals.shape[1] == 0:
-        return
-    perm, starts, targets = plan
-    out[:, targets] += np.add.reduceat(vals[:, perm], starts, axis=1)

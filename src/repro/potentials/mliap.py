@@ -163,6 +163,7 @@ class LinearSNAPModel:
                 f"beta must have {idx.nbispectrum} components for 2J={twojmax}"
             )
         self.beta = beta
+        self.yi_weights = idx.adjoint_weights(beta)
         self.twojmax = twojmax
         self.cutoff = float(cutoff)
 
@@ -181,8 +182,6 @@ class LinearSNAPModel:
 
         U, _, _ = compute_ui(rij, pair_i, nlocal, self.cutoff, self.twojmax)
         ei = compute_bispectrum(U, self.twojmax) @ self.beta
-        Y12, Y3 = compute_yi(U, self.beta, self.twojmax)
-        dedr = compute_fused_deidrj(
-            rij, pair_i, Y12, Y3, self.cutoff, self.twojmax
-        )
+        V = compute_yi(U, self.yi_weights, self.twojmax)
+        dedr = compute_fused_deidrj(rij, pair_i, V, self.cutoff, self.twojmax)
         return ei, dedr

@@ -13,15 +13,20 @@ The module layout mirrors the paper's four-kernel decomposition:
 * :mod:`repro.snap.cg` — exact Clebsch-Gordan coefficients on the
   half-integer (doubled-index) lattice;
 * :mod:`repro.snap.indexing` — quantum-number flattening (j slowest, m'
-  fastest; section 4.3.1) and the precomputed sparse contraction tensor;
+  fastest; section 4.3.1), the mirror map ``U[m'] = s conj(U[m])`` and its
+  half set, the precomputed sparse contraction tensor and its folded
+  adjoint form;
 * :mod:`repro.snap.wigner` — the Cayley-Klein/Wigner recursion for u and
-  du/dr, vectorized over (atom, neighbor) pairs;
+  du/dr over the half set, vectorized over (atom, neighbor) pairs;
 * :mod:`repro.snap.compute_ui` — ComputeUi: accumulate per-pair u into
-  per-atom U (with the work-batching knob of section 4.3.4);
-* :mod:`repro.snap.bispectrum` — B components (energy / training targets);
-* :mod:`repro.snap.compute_yi` — ComputeYi: the adjoint arrays;
+  per-atom U, upper rows by the mirror identity (with the work-batching
+  knob of section 4.3.4);
+* :mod:`repro.snap.bispectrum` — B components through the Z list (energy /
+  training targets);
+* :mod:`repro.snap.compute_yi` — ComputeYi: the one folded adjoint V over
+  the half set;
 * :mod:`repro.snap.compute_deidrj` — ComputeFusedDeidrj: per-pair force
-  contraction fused over the three directions;
+  contraction of V against u and du/dr, fused over the three directions;
 * :mod:`repro.snap.pair_snap` — ``pair_style snap`` / ``snap/kk``.
 
 Coefficients are synthetic (seeded pseudo-random; DESIGN.md substitution

@@ -1,21 +1,19 @@
 """Bispectrum components: the Clebsch-Gordan triple products (equation 3).
 
 ``B_{j1,j2,j} = Z_{j1,j2}^j : U_j^*`` evaluated through the precomputed
-sparse contraction tensor.  The result is real (group theory guarantees it;
-the tests assert the imaginary residue is numerically zero) and invariant
-under rotations of the neighborhood — the property that makes SNAP a valid
-descriptor.
+sparse contraction tensor: per atom, one ``reduceat`` over the tensor's
+contiguous ``(ib, out)`` runs builds the Z list ``Z = sum C U[in1] U[in2]``
+and a second over its ``ib`` runs contracts ``Z conj(U[out])`` into B.
+The result is real (group theory guarantees it; every call checks that the
+imaginary residue is numerically zero) and invariant under rotations of the
+neighborhood — the property that makes SNAP a valid descriptor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kokkos.segment import scatter_add_columns, scatter_mode
 from repro.snap.indexing import SnapIndex
-
-#: chunk of contraction terms evaluated per vector op (memory bound)
-_TERM_CHUNK = 16384
 
 
 def compute_bispectrum(U: np.ndarray, twojmax: int) -> np.ndarray:
@@ -24,19 +22,13 @@ def compute_bispectrum(U: np.ndarray, twojmax: int) -> np.ndarray:
     t = idx.tensor
     natoms = U.shape[0]
     B = np.zeros((natoms, idx.nbispectrum), dtype=np.complex128)
-    mode = scatter_mode()
-    for lo in range(0, t.nterms, _TERM_CHUNK):
-        hi = min(lo + _TERM_CHUNK, t.nterms)
-        sl = slice(lo, hi)
-        vals = (
-            t.coeff[sl]
-            * U[:, t.in1[sl]]
-            * U[:, t.in2[sl]]
-            * np.conj(U[:, t.out[sl]])
-        )
-        scatter_add_columns(
-            B, vals, t.column_plan("ib", lo, hi), mode=mode, cols=t.ib[sl]
-        )
+    for a in range(natoms):
+        u = U[a]
+        prod = u[t.in1] * u[t.in2]
+        prod *= t.coeff
+        z = np.add.reduceat(prod, t.z_starts)
+        z *= np.conj(u[t.z_out])
+        B[a, t.b_ib] = np.add.reduceat(z, t.b_starts)
     imag = float(np.abs(B.imag).max()) if B.size else 0.0
     if imag > 1e-8 * max(float(np.abs(B.real).max()), 1.0):
         raise FloatingPointError(

@@ -5,14 +5,15 @@ For each (atom, neighbor) pair the weighted Wigner derivative is
     dU_pair/dr = (dsfac/dr) rhat (x) u_pair + sfac * du_pair,
 
 (the ComputeDuidrj recursion), and the force contribution contracts it
-against the adjoints:
+against the folded adjoint over the half set:
 
-    dE/dr_k = Re( Y12[i] . dU_k + Y3[i] . conj(dU_k) ).
+    dE/dr = Re( dsfac rhat (V . u) + sfac (V . du) ),
 
+so neither the weighted derivative nor the upper rows are ever staged.
 All three Cartesian directions are evaluated in one pass — the paper's
 ComputeFusedDeidrj, which eliminated the redundant recomputation of u and
 the repeated loads of Y between the per-direction kernels (Table 2's
-1.49x / 1.74x uplift).  Pairs are processed in chunks so the du staging
+1.49x / 1.74x uplift).  Pairs are processed in chunks so the du recursion
 never exceeds a bounded footprint — the Python analogue of eliminating
 global-memory staging (section 4.3.3).
 """
@@ -23,15 +24,15 @@ import numpy as np
 
 from repro.snap.wigner import compute_u_blocks, switching
 
-#: pairs processed per chunk (bounds du memory: chunk * 3 * idxu * 16B)
-PAIR_CHUNK = 8192
+#: pairs processed per chunk: keeps the derivative recursion's per-layer
+#: temporaries (3 * rows * J * chunk complex) cache-resident
+PAIR_CHUNK = 512
 
 
 def compute_fused_deidrj(
     rij: np.ndarray,
     pair_i: np.ndarray,
-    Y12: np.ndarray,
-    Y3: np.ndarray,
+    V: np.ndarray,
     rcut: float,
     twojmax: int,
     *,
@@ -40,11 +41,13 @@ def compute_fused_deidrj(
 ) -> np.ndarray:
     """``dE/dr_k`` for every pair, shape (npairs, 3) real.
 
-    ``rij = x_neighbor - x_center``; the caller applies Newton's third law
-    (force on the neighbor, opposite force on the center).
+    ``rij = x_neighbor - x_center``; ``V`` is the :func:`compute_yi`
+    adjoint.  The caller applies Newton's third law (force on the
+    neighbor, opposite force on the center).
     """
     npairs = rij.shape[0]
     dedr = np.zeros((npairs, 3))
+    Vt = np.ascontiguousarray(V.T)  # (nhalf, natoms): gathers pairs last
     for lo in range(0, npairs, chunk):
         sl = slice(lo, min(lo + chunk, npairs))
         rij_c = rij[sl]
@@ -53,13 +56,8 @@ def compute_fused_deidrj(
         )
         r = np.sqrt(np.einsum("ij,ij->i", rij_c, rij_c))
         sfac, dsfac = switching(r, rcut, rmin0)
-        rhat = rij_c / r[:, None]
-        # dU = dsfac rhat (x) u + sfac du   — (chunk, 3, idxu)
-        dU = (dsfac[:, None] * rhat)[:, :, None] * u[:, None, :]
-        dU += sfac[:, None, None] * du
-        ya = Y12[pair_i[sl]]
-        yb = Y3[pair_i[sl]]
-        dedr[sl] = np.real(
-            np.einsum("pm,pdm->pd", ya, dU) + np.einsum("pm,pdm->pd", yb, np.conj(dU))
-        )
+        y = Vt[:, pair_i[sl]]
+        yu = np.einsum("hp,hp->p", y, u).real
+        ydu = np.einsum("hp,dhp->pd", y, du).real
+        dedr[sl] = (dsfac * yu / r)[:, None] * rij_c + sfac[:, None] * ydu
     return dedr

@@ -8,6 +8,9 @@ atomic-addition-limited kernel whose work batching (each thread summing
 ``batch`` neighbors locally before one atomic add) gives the 2.23x H100
 uplift of Table 2 — the ``batch`` argument reproduces that reduction in
 atomic traffic for the cost model while leaving results bit-identical.
+
+Only the half set is accumulated per pair; the upper rows of each per-atom
+total come from the mirror identity (:meth:`SnapIndex.expand_half`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ def compute_ui(
     """Per-atom totals.
 
     Returns ``(U, u_pairs, sfac)``: ``U`` is (natoms, idxu_max) complex,
-    ``u_pairs`` the bare per-pair matrices (reused by the force pass), and
+    ``u_pairs`` the bare per-pair half-set matrices (nhalf, npairs), and
     ``sfac`` the per-pair switching weights.
     """
     idx = SnapIndex(twojmax)
@@ -40,10 +43,12 @@ def compute_ui(
     r = np.sqrt(np.einsum("ij,ij->i", rij, rij))
     sfac, _ = switching(r, rcut, rmin0)
 
-    U = np.zeros((natoms, idx.idxu_max), dtype=np.complex128)
+    Uh = np.zeros((natoms, idx.nhalf), dtype=np.complex128)
     # pair_i follows the row-major list ordering, so the per-atom totals are
     # one reduceat over contiguous segments instead of atomic adds
-    scatter_add(U, pair_i, sfac[:, None] * u_pairs, assume_sorted=True)
+    scatter_add(Uh, pair_i, (u_pairs * sfac).T, assume_sorted=True)
+    # the upper rows follow from the mirror identity per atom, not per pair
+    U = idx.expand_half(Uh)
     U[:, idx.diag_indices()] += wself
     return U, u_pairs, sfac
 

@@ -1,19 +1,26 @@
-"""ComputeYi: the adjoint arrays (step 2 of the SNAP evaluation).
+"""ComputeYi: the folded adjoint (step 2 of the SNAP evaluation).
 
 The energy is trilinear in the U totals,
 
-    E_i = sum_b beta_b sum_t C_t U[in1] U[in2] conj(U[out]),
+    E_i = sum_b beta_b sum_t C_t U[in1] U[in2] conj(U[out]).
 
-so its gradient with respect to U splits into an unconjugated adjoint
-``Y12`` (terms where U appears bare) and a conjugated adjoint ``Y3`` (terms
-where U appears conjugated):
+Through the mirror identity ``conj(U[m]) = s_m U[m']`` (``m'`` the mirror
+slot, ``s_m = (-1)^(mb + ma)``; see :mod:`repro.snap.indexing`) every term
+is a product of three bare U's, and since U lives on the mirror-symmetric
+manifold its free variables are the half-set slots.  The gradient therefore
+collapses into one complex adjoint ``V`` over the half set:
 
-    dE_i = Re( sum_m Y12[m] dU[m] + Y3[m] conj(dU[m]) ).
+    dE_i = Re( sum_{m in half} V[m] dU[m] ),
 
-LAMMPS folds these into a single Y via U-matrix symmetries; we keep the
-two-slot form, which has identical computational structure (one sparse
-contraction pass over the same tensor, memory-bound on U loads — the L1
-story of figure 3) and is transparently finite-difference verifiable.
+for any on-manifold variation (``dU[m'] = s_m conj(dU[m])``; real on the
+self-mirror centre slots).  Each term contributes to its three factors'
+slots; a slot outside the half set folds onto its mirror, and duplicate
+``(slot, factor pair)`` entries merge, so the folded tensor
+(:class:`~repro.snap.indexing.AdjointTensor`) has 30,047 terms at ``2J = 8``
+against the 3 x 32,578 products of the unfolded partials — LAMMPS's
+single-Y form.  Its weights are linear in beta and computed once per
+``pair_coeff`` (:meth:`SnapIndex.adjoint_weights`).  By Euler's theorem
+``E_i = Re(sum_half V U) / 3``.
 
 The ``batch`` knob models section 4.3.4's ComputeYi work batching: threads
 handling several atoms share the Clebsch-Gordan look-up table traffic,
@@ -24,47 +31,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kokkos.segment import scatter_add_columns, scatter_mode
 from repro.snap.indexing import SnapIndex
 
-_TERM_CHUNK = 16384
 
+def compute_yi(U: np.ndarray, weights: np.ndarray, twojmax: int) -> np.ndarray:
+    """Adjoint ``V`` (natoms, nhalf) of the energy over the half set.
 
-def compute_yi(
-    U: np.ndarray, beta: np.ndarray, twojmax: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(Y12, Y3)``: adjoints of the energy with respect to U / conj(U)."""
+    ``weights`` are :meth:`SnapIndex.adjoint_weights` of the coefficients.
+    """
     idx = SnapIndex(twojmax)
-    t = idx.tensor
-    if beta.shape != (idx.nbispectrum,):
-        raise ValueError(
-            f"beta has {beta.shape}, expected ({idx.nbispectrum},)"
-        )
-    y12 = np.zeros_like(U)
-    y3 = np.zeros_like(U)
-    mode = scatter_mode()
-    for lo in range(0, t.nterms, _TERM_CHUNK):
-        hi = min(lo + _TERM_CHUNK, t.nterms)
-        sl = slice(lo, hi)
-        w = beta[t.ib[sl]] * t.coeff[sl]
-        u1 = U[:, t.in1[sl]]
-        u2 = U[:, t.in2[sl]]
-        cu3 = np.conj(U[:, t.out[sl]])
-        # column scatters over the memoized per-chunk term sort (natoms is
-        # only a batch axis — the reduction runs along the term axis)
-        scatter_add_columns(
-            y12, w * u2 * cu3, t.column_plan("in1", lo, hi),
-            mode=mode, cols=t.in1[sl],
-        )
-        scatter_add_columns(
-            y12, w * u1 * cu3, t.column_plan("in2", lo, hi),
-            mode=mode, cols=t.in2[sl],
-        )
-        scatter_add_columns(
-            y3, w * u1 * u2, t.column_plan("out", lo, hi),
-            mode=mode, cols=t.out[sl],
-        )
-    return y12, y3
+    a = idx.adjoint
+    if weights.shape != (a.nterms,):
+        raise ValueError(f"weights have {weights.shape}, expected ({a.nterms},)")
+    V = np.zeros((U.shape[0], idx.nhalf), dtype=np.complex128)
+    for i in range(U.shape[0]):
+        u = U[i]
+        prod = u[a.f1] * u[a.f2]
+        prod *= weights
+        V[i, a.targets] = np.add.reduceat(prod, a.starts)
+    return V
 
 
 def yi_l1_transactions(natoms: int, nterms: int, batch: int = 1) -> float:

@@ -65,6 +65,7 @@ class PairSNAP(Pair):
         scale = float(args[2])
         seed = int(777 * float(args[3]))
         self.beta = synthetic_beta(self.index.nbispectrum, scale, seed)
+        self.yi_weights = self.index.adjoint_weights(self.beta)
         self.cut[1, 1] = self.rcut
         self.setflag[1, 1] = True
 
@@ -111,11 +112,11 @@ class PairSNAP(Pair):
         # energy: bispectrum components dotted with the learned coefficients
         B = compute_bispectrum(U, self.twojmax)
         self.eng_vdwl += float((B @ self.beta).sum())
-        # (2) ComputeYi: adjoint arrays
-        Y12, Y3 = compute_yi(U, self.beta, self.twojmax)
+        # (2) ComputeYi: the folded adjoint over the half set
+        V = compute_yi(U, self.yi_weights, self.twojmax)
         # (3+4) ComputeFusedDeidrj: per-pair force contraction, 3 directions
         dedr = compute_fused_deidrj(
-            rij, i, Y12, Y3, self.rcut, self.twojmax, rmin0=self.rmin0
+            rij, i, V, self.rcut, self.twojmax, rmin0=self.rmin0
         )
         scatter_sub(atom.f, j, dedr)
         scatter_add(atom.f, i, dedr, assume_sorted=True)

@@ -6,7 +6,12 @@ matrices ``u_j`` follows from the linear recursion ``u_j = F(u_{j-1/2})``.
 The loop over quantum numbers has a serial dependency (section 4.3.3), so
 the recursion runs layer by layer; every layer operation is vectorized over
 the (atom, neighbor) pair axis, which is where the parallelism lives on
-GPUs too.
+GPUs too.  The pair axis is last, so each update streams contiguous memory.
+
+Only rows ``mb <= J/2`` are recursed (plus, for odd J, the one mirror row
+the next layer reads); the result is the half set of
+:class:`~repro.snap.indexing.SnapIndex`, from which the mirror identity
+``U[m'] = s conj(U[m])`` recovers the upper rows wherever they are needed.
 
 The derivative recursion (``compute_duarray`` in LAMMPS) applies the product
 rule through the same structure and is fused here with the value recursion
@@ -69,19 +74,6 @@ def _cayley_klein(
     return r, np.conj(a), np.conj(b), np.conj(da), np.conj(db)
 
 
-def _apply_symmetry(cur: np.ndarray, J: int, deriv: bool) -> None:
-    """Fill rows ``mb > J/2`` from the inversion symmetry.
-
-    ``u[J - mb][J - ma] = (-1)^(ma + mb) conj(u[mb][ma])`` (VMK 4.4).
-    ``cur`` has the (mb, ma) block in its trailing two axes.
-    """
-    half = np.array([(-1.0) ** (J + mb) for mb in range(J // 2 + 1)])
-    sign_c = (-1.0) ** np.arange(J + 1)
-    for mb in range(J // 2 + 1):
-        src = cur[..., mb, ::-1].copy()
-        cur[..., J - mb, :] = (half[mb] * sign_c) * np.conj(src)
-
-
 def compute_u_blocks(
     rij: np.ndarray,
     rcut: float,
@@ -90,60 +82,71 @@ def compute_u_blocks(
     twojmax: int = 8,
     derivatives: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-pair Wigner coefficients.
+    """Per-pair Wigner coefficients over the half set, pairs last.
 
-    Returns ``(u, du)``: ``u`` is (npairs, idxu_max) complex; ``du`` is
-    (npairs, 3, idxu_max) when ``derivatives`` else None.  Values are the
-    *bare* matrices — the caller applies the switching-function weight.
+    Returns ``(u, du)``: ``u`` is (nhalf, npairs) complex; ``du`` is
+    (3, nhalf, npairs) when ``derivatives`` else None.  Values are the
+    *bare* matrices — the caller applies the switching-function weight;
+    :meth:`SnapIndex.expand_half` recovers the full blocks.
     """
     idx = SnapIndex(twojmax)
     n = rij.shape[0]
-    u_flat = np.zeros((n, idx.idxu_max), dtype=np.complex128)
-    du_flat = (
-        np.zeros((n, 3, idx.idxu_max), dtype=np.complex128) if derivatives else None
-    )
+    u = np.empty((idx.nhalf, n), dtype=np.complex128)
+    du = np.empty((3, idx.nhalf, n), dtype=np.complex128) if derivatives else None
     if n == 0:
-        return u_flat, du_flat
+        return u, du
 
     r, ca, cb, dca, dcb = _cayley_klein(rij, rcut, rmin0)
+    dca = dca.T[:, None, None, :]  # (3, 1, 1, n)
+    dcb = dcb.T[:, None, None, :]
 
-    prev = np.ones((n, 1, 1), dtype=np.complex128)
-    dprev = np.zeros((n, 3, 1, 1), dtype=np.complex128) if derivatives else None
-    u_flat[:, 0] = 1.0
-
+    prev = np.ones((1, 1, n), dtype=np.complex128)
+    u[0] = 1.0
+    if derivatives:
+        dprev = np.zeros((3, 1, 1, n), dtype=np.complex128)
+        du[:, 0] = 0.0
     for J in range(1, twojmax + 1):
-        cur = np.zeros((n, J + 1, J + 1), dtype=np.complex128)
-        dcur = (
-            np.zeros((n, 3, J + 1, J + 1), dtype=np.complex128)
-            if derivatives
-            else None
-        )
-        for mb in range(J // 2 + 1):
-            if mb > J - 1:
-                # (possible only for J = 0; loop starts at J = 1)
-                continue
-            denom = np.sqrt(float(J - mb))
-            ma = np.arange(J)
-            rpq_a = np.sqrt((J - ma) / float(J - mb))
-            rpq_b = np.sqrt((ma + 1) / float(J - mb))
-            p = prev[:, mb, :]  # (n, J)
-            cur[:, mb, :J] += rpq_a * (ca[:, None] * p)
-            cur[:, mb, 1:] += -rpq_b * (cb[:, None] * p)
+        # rows mb <= J/2 come from layer J-1; for odd J the next layer also
+        # reads row (J+1)/2, the mirror of row (J-1)/2
+        nrows = J // 2 + 1
+        extra = int(J % 2 == 1 and J < twojmax)
+        mb = np.arange(nrows)[:, None, None]
+        ma = np.arange(J)[None, :, None]
+        rpq_a = np.sqrt((J - ma) / (J - mb))
+        rpq_b = -np.sqrt((ma + 1) / (J - mb))
+        p = prev[:nrows]
+        pa = rpq_a * p
+        pb = rpq_b * p
+        # u[mb, ma] = conj(a) pa[mb, ma] + conj(b) pb[mb, ma - 1]
+        cur = np.empty((nrows + extra, J + 1, n), dtype=np.complex128)
+        np.multiply(ca, pa, out=cur[:nrows, :J])
+        cur[:nrows, J] = 0.0
+        cur[:nrows, 1:] += cb * pb
+        if derivatives:
+            # product rule, accumulated in place: dc * pc + c * rpq * dp
+            dp = dprev[:, :nrows]
+            dcur = np.empty((3,) + cur.shape, dtype=np.complex128)
+            tmp = np.empty((3, nrows, J, n), dtype=np.complex128)
+            d_lo, d_hi = dcur[:, :nrows, :J], dcur[:, :nrows, 1:]
+            np.multiply(dca, pa, out=d_lo)
+            dcur[:, :nrows, J] = 0.0
+            d_hi += np.multiply(dcb, pb, out=tmp)
+            np.multiply(rpq_a, dp, out=tmp)
+            tmp *= ca
+            d_lo += tmp
+            np.multiply(rpq_b, dp, out=tmp)
+            tmp *= cb
+            d_hi += tmp
+        if extra:
+            sign = ((-1.0) ** (J + J // 2 + np.arange(J + 1)))[:, None]
+            cur[nrows] = sign * np.conj(cur[nrows - 1, ::-1])
             if derivatives:
-                dp = dprev[:, :, mb, :]  # (n, 3, J)
-                dcur[:, :, mb, :J] += rpq_a * (
-                    dca[:, :, None] * p[:, None, :] + ca[:, None, None] * dp
-                )
-                dcur[:, :, mb, 1:] += -rpq_b * (
-                    dcb[:, :, None] * p[:, None, :] + cb[:, None, None] * dp
-                )
-        _apply_symmetry(cur, J, deriv=False)
+                dcur[:, nrows] = sign * np.conj(dcur[:, nrows - 1, ::-1])
+        # the layer's half set is a prefix of its row-major block
+        lo, hi = idx.half_block[J], idx.half_block[J + 1]
+        u[lo:hi] = cur.reshape(-1, n)[: hi - lo]
         if derivatives:
-            _apply_symmetry(dcur, J, deriv=True)
-        lo, hi = idx.idxu_block[J], idx.idxu_block[J + 1]
-        u_flat[:, lo:hi] = cur.reshape(n, -1)
-        if derivatives:
-            du_flat[:, :, lo:hi] = dcur.reshape(n, 3, -1)
+            du[:, lo:hi] = dcur.reshape(3, -1, n)[:, : hi - lo]
+            dprev = dcur
         prev = cur
-        dprev = dcur
-    return u_flat, du_flat
+    return u, du

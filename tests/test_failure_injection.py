@@ -60,29 +60,34 @@ class TestLostAndCorruptState:
         assert max(counts) == lmp.ranks[0].natoms_total  # all on one rank
 
 
+def _snap_adjoint_case(twojmax: int, seed: int, natoms: int = 1):
+    """``(idx, beta, U, V, rng)`` for ``natoms`` random 6-neighbor shells."""
+    from repro.snap.compute_ui import compute_ui
+    from repro.snap.compute_yi import compute_yi
+    from repro.snap.indexing import SnapIndex
+    from repro.snap.pair_snap import synthetic_beta
+
+    idx = SnapIndex(twojmax)
+    beta = synthetic_beta(idx.nbispectrum, 1.0, seed=seed % 97 + 1)
+    rng = np.random.default_rng(seed)
+    rij = rng.normal(size=(6 * natoms, 3))
+    rij *= 3.0 / np.linalg.norm(rij, axis=1, keepdims=True)
+    pair_i = np.repeat(np.arange(natoms), 6)
+    U, _, _ = compute_ui(rij, pair_i, natoms, 4.7, twojmax)
+    V = compute_yi(U, idx.adjoint_weights(beta), twojmax)
+    return idx, beta, U, V, rng
+
+
 class TestSNAPAdjointConsistency:
     @given(seed=st.integers(0, 500))
     @settings(max_examples=8, deadline=None)
     def test_y_adjoints_are_energy_gradients_in_u(self, seed):
-        """Y12/Y3 must be the exact partials of E = beta . B w.r.t. U/U*."""
-        from repro.snap.bispectrum import compute_bispectrum
-        from repro.snap.compute_ui import compute_ui
-        from repro.snap.compute_yi import compute_yi
-        from repro.snap.indexing import SnapIndex
-        from repro.snap.pair_snap import synthetic_beta
-
+        """V must be the exact on-manifold gradient of E = beta . B in U."""
         tj = 4
-        idx = SnapIndex(tj)
-        beta = synthetic_beta(idx.nbispectrum, 1.0, seed=seed % 97 + 1)
-        rng = np.random.default_rng(seed)
-        rij = rng.normal(size=(6, 3))
-        rij *= 3.0 / np.linalg.norm(rij, axis=1, keepdims=True)
-        U, _, _ = compute_ui(rij, np.zeros(6, dtype=int), 1, 4.7, tj)
-        Y12, Y3 = compute_yi(U, beta, tj)
+        idx, beta, U, V, rng = _snap_adjoint_case(tj, seed)
 
         # evaluate E = Re(sum beta C u1 u2 conj(u3)) directly from the
-        # contraction tensor, so arbitrary (off-manifold) perturbations of
-        # U are well defined
+        # contraction tensor, independent of the folded adjoint
         t = idx.tensor
         w = beta[t.ib] * t.coeff
 
@@ -92,21 +97,60 @@ class TestSNAPAdjointConsistency:
             )
 
         eps = 1e-7
-        for m in rng.integers(0, idx.idxu_max, size=4):
-            # dE/d(Re u_m) = Re(Y12 + Y3); dE/d(Im u_m) = Re(i (Y12 - Y3))
-            for part, expect in (
-                (1.0, np.real(Y12[0, m] + Y3[0, m])),
-                (1j, np.real(1j * (Y12[0, m] - Y3[0, m]))),
-            ):
-                up = U.copy()
-                up[0, m] += part * eps
-                um = U.copy()
-                um[0, m] -= part * eps
-                fd = (energy(up) - energy(um)) / (2 * eps)
+        for h in rng.integers(0, idx.nhalf, size=4):
+            m = idx.half[h]
+            mbar, s = idx.mirror[m], idx.mirror_sign[m]
+            # on-manifold perturbation: U[m] += d, U[m'] += s conj(d); the
+            # self-mirror centre slots are real, so only real d there
+            for part in (1.0,) if mbar == m else (1.0, 1j):
+                fd_e = []
+                for d in (part * eps, -part * eps):
+                    up = U.copy()
+                    up[0, m] += d
+                    if mbar != m:
+                        up[0, mbar] += s * np.conj(d)
+                    fd_e.append(energy(up))
+                fd = (fd_e[0] - fd_e[1]) / (2 * eps)
+                expect = float(np.real(V[0, h] * part))
                 # abs floor: central-difference round-off is ~ulp(E)/eps,
                 # which for |E| ~ 10 exceeds 1e-8 when the derivative itself
-                # is small (near-cancelling Y components)
+                # is small (near-cancelling adjoint terms)
                 assert fd == pytest.approx(expect, rel=1e-4, abs=5e-8)
+
+    @pytest.mark.parametrize("twojmax", [2, 4, 6, 8])
+    def test_folded_adjoint_matches_two_slot_oracle(self, twojmax):
+        """Folding the two-slot partials (Y12 w.r.t. U, Y3 w.r.t. conj(U))
+        onto the half set reproduces V."""
+        idx, beta, U, V, _ = _snap_adjoint_case(twojmax, seed=11, natoms=2)
+        t = idx.tensor
+        w = beta[t.ib] * t.coeff
+        rows = np.arange(U.shape[0])[:, None]
+        y12 = np.zeros_like(U)
+        y3 = np.zeros_like(U)
+        np.add.at(y12, (rows, t.in1), w * U[:, t.in2] * np.conj(U[:, t.out]))
+        np.add.at(y12, (rows, t.in2), w * U[:, t.in1] * np.conj(U[:, t.out]))
+        np.add.at(y3, (rows, t.out), w * U[:, t.in1] * U[:, t.in2])
+        # on the manifold conj(dU[m]) = s dU[m'], so dE = Re(G . dU) with
+        # G[m] = Y12[m] + s Y3[m']; pairing m with m' gives V off the centres
+        s, mir, half = idx.mirror_sign, idx.mirror, idx.half
+        G = y12 + s * y3[:, mir]
+        centre = mir[half] == half
+        expect = G[:, half] + np.where(
+            centre, 0.0, s[half] * np.conj(G[:, mir[half]])
+        )
+        np.testing.assert_allclose(
+            V, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max()
+        )
+
+    @pytest.mark.parametrize("twojmax", [2, 4, 8])
+    def test_energy_is_euler_contraction_of_adjoint(self, twojmax):
+        """E is cubic in U, so beta . B = Re(sum_half V U) / 3."""
+        from repro.snap.bispectrum import compute_bispectrum
+
+        idx, beta, U, V, _ = _snap_adjoint_case(twojmax, seed=5, natoms=3)
+        energy = float((compute_bispectrum(U, twojmax) @ beta).sum())
+        euler = float(np.real((V * U[:, idx.half]).sum())) / 3.0
+        assert euler == pytest.approx(energy, rel=1e-12)
 
 
 class TestEwaldAccounting:

@@ -21,10 +21,8 @@ from repro.kokkos.core import Device, Host
 from repro.kokkos.segment import (
     ATOMIC,
     SEGMENTED,
-    column_scatter_plan,
     force_scatter_mode,
     scatter_add,
-    scatter_add_columns,
     scatter_mode,
     scatter_sub,
     segment_sum,
@@ -134,25 +132,6 @@ class TestScatterAdd:
         with pytest.raises(ValueError, match="scatter mode"):
             with force_scatter_mode("sideways"):
                 pass
-
-
-class TestColumnScatter:
-    def test_plan_matches_add_at(self):
-        rng = np.random.default_rng(5)
-        cols = rng.integers(0, 7, size=30)
-        vals = rng.normal(size=(4, 30))
-        plan = column_scatter_plan(cols)
-        a = np.zeros((4, 7))
-        b = np.zeros((4, 7))
-        scatter_add_columns(a, vals, plan, mode=SEGMENTED)
-        rows = np.arange(4)[:, None]
-        np.add.at(b, (rows, cols[None, :]), vals)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-    def test_atomic_mode_requires_original_cols(self):
-        plan = column_scatter_plan(np.array([0, 1]))
-        with pytest.raises(ValueError, match="cols"):
-            scatter_add_columns(np.zeros((2, 2)), np.ones((2, 2)), plan, mode=ATOMIC)
 
 
 class TestScatterViewContribution:

@@ -126,8 +126,9 @@ class TestIndexing:
 class TestWignerRecursion:
     def test_unitarity_every_layer(self):
         rij = random_neighborhood(0, n=4)
-        u, _ = compute_u_blocks(rij, 4.7, twojmax=8)
+        uh, _ = compute_u_blocks(rij, 4.7, twojmax=8)
         idx = SnapIndex(8)
+        u = idx.expand_half(uh.T)  # mirror-expanded full blocks
         for J in range(9):
             lo, hi = idx.idxu_block[J], idx.idxu_block[J + 1]
             for p in range(4):
@@ -149,7 +150,7 @@ class TestWignerRecursion:
             up, _ = compute_u_blocks(rp, 4.7, twojmax=6)
             um, _ = compute_u_blocks(rm, 4.7, twojmax=6)
             np.testing.assert_allclose(
-                (up - um) / (2 * eps), du[:, d, :], atol=5e-7
+                (up - um) / (2 * eps), du[d], atol=5e-7
             )
 
     def test_switching_function(self):
@@ -162,7 +163,26 @@ class TestWignerRecursion:
 
     def test_empty_input(self):
         u, du = compute_u_blocks(np.zeros((0, 3)), 4.7, twojmax=4, derivatives=True)
-        assert u.shape[0] == 0 and du.shape[0] == 0
+        assert u.shape[-1] == 0 and du.shape[-1] == 0
+
+    def test_half_set_size(self):
+        """Rows mb < J/2 plus the middle row's ma <= J/2: 145 of 285 at 2J=8."""
+        idx = SnapIndex(8)
+        assert idx.nhalf == 145
+        u, du = compute_u_blocks(random_neighborhood(1, n=3), 4.7, twojmax=8,
+                                 derivatives=True)
+        assert u.shape == (145, 3) and du.shape == (3, 145, 3)
+
+    @pytest.mark.parametrize("twojmax", [1, 4, 7, 8])
+    def test_per_atom_totals_satisfy_mirror_identity(self, twojmax):
+        """U[m'] = s conj(U[m]) holds exactly on compute_ui's per-atom totals."""
+        rij = random_neighborhood(2, n=12)
+        pair_i = np.repeat([0, 1, 2], 4)
+        U, _, _ = compute_ui(rij, pair_i, 3, 4.7, twojmax)
+        idx = SnapIndex(twojmax)
+        np.testing.assert_array_equal(
+            U[:, idx.mirror], idx.mirror_sign * np.conj(U)
+        )
 
 
 class TestBispectrumInvariance:
