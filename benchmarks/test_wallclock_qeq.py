@@ -55,7 +55,7 @@ def test_fused_spmv_streams_one_matrix_pass(qeq_bench):
         pair.params,
         lmp.update.units.qqr2e,
     )
-    _, cols, vals = matrix._compact()
+    cols, vals = matrix.nz_cols, matrix.nz_vals
     assert row["spmv_bytes_per_iteration"]["cold"] == vals.nbytes + cols.nbytes
 
 

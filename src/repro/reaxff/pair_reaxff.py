@@ -223,6 +223,9 @@ class PairReaxFF(Pair):
         self._last_bonds_key = (lmp.update.ntimestep, lmp.neigh_list)
         stats["bond_candidates"] = bonds.candidates
         stats["nbonds"] = bonds.nbonds
+        # every rank finishes its bond stage (the step's largest transients)
+        # before any rank holds QEq state across the solve's yields
+        yield
 
         # 3) charge equilibration: preconditioned, history-seeded dual CG
         matrix = build_qeq_matrix(x, species, lmp.neigh_list, params, lmp.update.units.qqr2e)
@@ -256,10 +259,10 @@ class PairReaxFF(Pair):
             (params.chi[species[:nlocal]] * ql + params.eta[species[:nlocal]] * ql * ql).sum()
         )
 
-        # 4) nonbonded vdW + Coulomb
+        # 4) nonbonded vdW + Coulomb over the matrix build's pair pass
         evdw, ecoul, nb_pairs = compute_nonbonded(
-            x, species, q, nlocal, lmp.neigh_list, params,
-            lmp.update.units.qqr2e, atom.f, self.virial,
+            matrix.pairs, x, species, q, params, lmp.update.units.qqr2e,
+            atom.f, self.virial,
         )
         self.eng_vdwl += evdw
         self.eng_coul += ecoul

@@ -46,13 +46,19 @@ import numpy as np
 
 from repro.core.errors import LammpsError, OverflowGuardError, unknown_choice
 from repro.kokkos.segment import ATOMIC, scatter_mode
-from repro.reaxff.nonbonded import shielded_kernel, taper
+from repro.reaxff.nonbonded import ShieldedPairs, shielded_pairs
 from repro.reaxff.params import ReaxParams
 from repro.tools import metrics
 
 @dataclass
 class QEqMatrix:
-    """Over-allocated CSR (paper's four-structure format) plus the diagonal."""
+    """Over-allocated CSR (paper's four-structure format) plus the diagonal.
+
+    The build also keeps its non-zeros compacted in row-major order
+    (``nz_rows``/``nz_cols``/``nz_vals``) with the per-row segment plan —
+    the arrays the SpMV, the SSOR preconditioner and the byte accounting
+    read — and the shared pair geometry :func:`compute_nonbonded` consumes.
+    """
 
     nlocal: int
     #: row offsets into the over-allocated flat arrays, int64 (appendix B)
@@ -65,71 +71,62 @@ class QEqMatrix:
     nnz: np.ndarray
     #: diagonal: 2 * eta_i
     diag: np.ndarray
-    # derived compacted COO for vectorized spmv (simulation-side convenience;
-    # the four structures above are the format of record)
-    _rows_flat: np.ndarray | None = None
-    _cols_flat: np.ndarray | None = None
-    _vals_flat: np.ndarray | None = None
-    # per-rebuild row-segment plan: starts of each non-empty row's run in the
-    # compacted arrays and the owning row indices — the true-CSR reduction
-    _seg_starts: np.ndarray | None = None
-    _seg_rows: np.ndarray | None = None
+    #: compacted non-zeros, row-major: row, column (int64) and value
+    nz_rows: np.ndarray
+    nz_cols: np.ndarray
+    nz_vals: np.ndarray
+    #: row-segment plan: start of each non-empty row's run in the compacted
+    #: arrays and the owning row index — the true-CSR reduction
+    seg_starts: np.ndarray
+    seg_rows: np.ndarray
+    #: the build's in-cutoff pairs and kernels, for the nonbonded force
+    pairs: ShieldedPairs
 
-    def _compact(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._rows_flat is None:
-            nnz = self.nnz.astype(np.int64)
-            total = int(nnz.sum())
-            rows = np.repeat(np.arange(self.nlocal), nnz)
-            # valid slots are the first nnz[i] entries of each row
-            csum = np.zeros(self.nlocal, dtype=np.int64)
-            if self.nlocal:
-                np.cumsum(nnz[:-1], out=csum[1:])
-            within = np.arange(total, dtype=np.int64) - np.repeat(csum, nnz)
-            idx = np.repeat(self.offsets[:-1], nnz) + within
-            self._rows_flat = rows
-            self._cols_flat = self.cols[idx].astype(np.int64)
-            self._vals_flat = self.vals[idx]
-            # rows is sorted by construction: the row-run starts are exactly
-            # the compacted offsets of the non-empty rows
-            nonempty = np.flatnonzero(nnz)
-            self._seg_starts = csum[nonempty]
-            self._seg_rows = nonempty
-        return self._rows_flat, self._cols_flat, self._vals_flat
+    def __post_init__(self) -> None:
+        # spmv2 multiplies its flattened ``(S, 2)`` gather by ``vals``
+        # pair-interleaved; ``nz_vals`` becomes a view of that copy, so the
+        # values are stored once across the solve
+        self._vals2 = np.repeat(self.nz_vals, 2)
+        self.nz_vals = self._vals2[::2]
 
     def spmv(self, vec_all: np.ndarray) -> np.ndarray:
         """``A @ vec``: local rows against local+ghost columns.
 
         Row-major storage makes this a true CSR product: one ``reduceat``
-        over the per-rebuild row segments replaces the scalar ``np.add.at``
+        over the per-build row segments replaces the scalar ``np.add.at``
         scatter (the ``atomic`` mode kept for benchmark baselines).
         """
-        rows, cols, vals = self._compact()
         out = self.diag * vec_all[: self.nlocal]
-        prod = vals * vec_all[cols]
+        prod = np.take(vec_all, self.nz_cols)
+        prod *= self.nz_vals
         if scatter_mode() == ATOMIC:
-            np.add.at(out, rows, prod)
+            np.add.at(out, self.nz_rows, prod)
         elif len(prod):
-            out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts)
+            out[self.seg_rows] += np.add.reduceat(prod, self.seg_starts)
         return out
 
     def spmv2(self, vec2_all: np.ndarray) -> np.ndarray:
         """``A @ [u, v]``: both right-hand sides off ONE matrix traversal.
 
-        ``vec2_all`` is ``(nall, 2)``; one load of ``vals``/``cols`` feeds
-        both products (``vals[:, None] * vec2_all[cols]``), and the same
-        per-rebuild row-segment plan reduces both columns in one
+        ``vec2_all`` is ``(nall, 2)``.  One ``np.take(axis=0)`` pass over
+        ``cols`` gathers both columns' entries as 16-byte row copies (the
+        2-D fancy index ``vec2_all[cols]`` walks numpy's general
+        advanced-indexing iterator per entry, several times slower), one flat
+        multiply by the pair-interleaved ``vals`` forms both products, and
+        the per-build row-segment plan reduces both columns in one
         ``reduceat(..., axis=0)``.  Each column accumulates in exactly the
         order :meth:`spmv` uses, so the fused result is bitwise identical
         to two single-RHS traversals — the equivalence the spmv tests and
         the golden baselines rely on.
         """
-        rows, cols, vals = self._compact()
         out = self.diag[:, None] * vec2_all[: self.nlocal]
-        prod = vals[:, None] * vec2_all[cols]
+        prod = np.take(vec2_all, self.nz_cols, axis=0)
+        flat = prod.reshape(-1)
+        flat *= self._vals2
         if scatter_mode() == ATOMIC:
-            np.add.at(out, rows, prod)
+            np.add.at(out, self.nz_rows, prod)
         elif len(prod):
-            out[self._seg_rows] += np.add.reduceat(prod, self._seg_starts, axis=0)
+            out[self.seg_rows] += np.add.reduceat(prod, self.seg_starts, axis=0)
         return out
 
     def traversal_bytes(self) -> int:
@@ -139,8 +136,7 @@ class QEqMatrix:
         once for both right-hand sides.  Vector gathers are excluded: the
         point of the fusion is the matrix stream.
         """
-        self._compact()
-        return self._vals_flat.nbytes + self._cols_flat.nbytes
+        return self.nz_vals.nbytes + self.nz_cols.nbytes
 
     @property
     def stored_slots(self) -> int:
@@ -163,7 +159,9 @@ def build_qeq_matrix(
     Pipeline per the paper: (1) parallel scan over full-list neighbor
     counts -> over-allocated row offsets; (2) value kernel computes the
     shielded-tapered interactions, slots them row-contiguously, and records
-    per-row non-zero counts and column offsets.
+    per-row non-zero counts and column offsets.  The value kernel's pair
+    pass (:func:`shielded_pairs`) is the step's only one over the 10 A
+    list: the matrix keeps it for :func:`compute_nonbonded`.
     """
     nlocal = nlist.nlocal
     numneigh = nlist.numneigh
@@ -193,15 +191,8 @@ def build_qeq_matrix(
     vals = np.zeros(slots)
     nnz = np.zeros(nlocal, dtype=np.int32)
 
-    i, j = nlist.ij_pairs()
-    dx = x[i] - x[j]
-    rsq = np.einsum("ij,ij->i", dx, dx)
-    keep = rsq < params.rcut_nonb**2
-    i, j = i[keep], j[keep]
-    r = np.sqrt(rsq[keep])
-    g, _ = shielded_kernel(r, params.gamma_ij(types[i], types[j]))
-    t, _ = taper(r, params.rcut_nonb)
-    v = qqr2e * g * t
+    pairs, v = shielded_pairs(x, types, nlist, params, qqr2e)
+    i, j = pairs.i, pairs.j
 
     # slot the kept entries contiguously at the front of each row
     nnz_counts = np.bincount(i, minlength=nlocal).astype(np.int32)
@@ -213,10 +204,15 @@ def build_qeq_matrix(
     cols[slot] = j.astype(np.int32)
     vals[slot] = v
     nnz[:] = nnz_counts
+    # the kept (i, j, v) are already the compacted row-major non-zeros; the
+    # row runs start at the compacted offsets of the non-empty rows
+    nonempty = np.flatnonzero(nnz_counts)
 
     diag = 2.0 * params.eta[types[:nlocal]]
     return QEqMatrix(
-        nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag
+        nlocal=nlocal, offsets=offsets, cols=cols, vals=vals, nnz=nnz, diag=diag,
+        nz_rows=i, nz_cols=j, nz_vals=v,
+        seg_starts=row_start[nonempty], seg_rows=nonempty, pairs=pairs,
     )
 
 
@@ -256,7 +252,7 @@ class SSORPreconditioner:
     def __init__(self, matrix: QEqMatrix) -> None:
         import scipy.sparse as sp
 
-        rows, cols, vals = matrix._compact()
+        rows, cols, vals = matrix.nz_rows, matrix.nz_cols, matrix.nz_vals
         n = matrix.nlocal
         self._n = n
         if n == 0:

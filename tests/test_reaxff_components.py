@@ -187,7 +187,7 @@ class TestQEqMatrix:
         m, x, species, _ = self.make(4)
         n = m.nlocal
         dense = np.zeros((n, len(x)))
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m.nz_rows, m.nz_cols, m.nz_vals
         dense[rows, cols] = vals
         dense[np.arange(n), np.arange(n)] += m.diag
         rng = np.random.default_rng(0)
@@ -197,7 +197,7 @@ class TestQEqMatrix:
     def test_matrix_symmetric_on_local_block(self):
         m, x, species, _ = self.make(5)
         n = m.nlocal
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m.nz_rows, m.nz_cols, m.nz_vals
         dense = np.zeros((n, n))
         local = cols < n
         dense[rows[local], cols[local]] = vals[local]
@@ -206,7 +206,7 @@ class TestQEqMatrix:
     def test_positive_definite_with_hardness(self):
         m, *_ = self.make(6)
         n = m.nlocal
-        rows, cols, vals = m._compact()
+        rows, cols, vals = m.nz_rows, m.nz_cols, m.nz_vals
         dense = np.zeros((n, n))
         local = cols < n
         np.add.at(dense, (rows[local], cols[local]), vals[local])

@@ -24,7 +24,15 @@ import pytest
 from conftest import gather_by_tag
 from repro.core import Ensemble, Lammps
 from repro.core.errors import InputError, LammpsError, OverflowGuardError
-from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode
+from repro.core.neighbor import build_neighbor_list
+from repro.kokkos.segment import ATOMIC, SEGMENTED, force_scatter_mode, scatter_add
+from repro.reaxff.nonbonded import (
+    compute_nonbonded,
+    shielded_kernel,
+    taper,
+    vdw_morse,
+)
+from repro.reaxff.params import default_chno
 from repro.reaxff.qeq import HISTORY_DEPTH, build_qeq_matrix, make_preconditioner
 from repro.tools import metrics
 from repro.tools.metrics import MetricsRegistry
@@ -40,6 +48,16 @@ def make_hns(nranks=1, precond="none", extrap="none", cells=(1, 2, 2), tol=None)
     for lmp in target.ranks if hasattr(target, "ranks") else [target]:
         lmp.pair.set_qeq_options(precond=precond, extrap=extrap, tol=tol)
     return target
+
+
+def rank_matrix(lmp):
+    """The QEq matrix of ``lmp``'s current configuration."""
+    atom, pair = lmp.atom, lmp.pair
+    species = pair.type_map[atom.type[: atom.nall]]
+    return build_qeq_matrix(
+        atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
+        lmp.update.units.qqr2e,
+    )
 
 
 # ------------------------------------------------------- overflow guards
@@ -66,12 +84,7 @@ class TestOverflowGuards:
         """The appendix-B width split on a real build."""
         lmp = make_hns()
         lmp.run(0)
-        atom, pair = lmp.atom, lmp.pair
-        species = pair.type_map[atom.type[: atom.nall]]
-        m = build_qeq_matrix(
-            atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
-            lmp.update.units.qqr2e,
-        )
+        m = rank_matrix(lmp)
         assert m.offsets.dtype == np.int64
         assert m.cols.dtype == np.int32
         assert m.nnz.dtype == np.int32
@@ -82,14 +95,9 @@ class TestFusedSpmv:
     def test_spmv2_matches_two_spmv_calls_bitwise(self):
         lmp = make_hns()
         lmp.run(0)
-        atom, pair = lmp.atom, lmp.pair
-        species = pair.type_map[atom.type[: atom.nall]]
-        m = build_qeq_matrix(
-            atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
-            lmp.update.units.qqr2e,
-        )
+        m = rank_matrix(lmp)
         rng = np.random.default_rng(7)
-        vec2 = rng.normal(size=(atom.nall, 2))
+        vec2 = rng.normal(size=(lmp.atom.nall, 2))
         # both scatter modes: the fused solve must never shift goldens
         for scatter in (ATOMIC, SEGMENTED):
             with force_scatter_mode(scatter):
@@ -100,14 +108,187 @@ class TestFusedSpmv:
     def test_traversal_bytes_count_one_matrix_pass(self):
         lmp = make_hns()
         lmp.run(0)
-        atom, pair = lmp.atom, lmp.pair
-        species = pair.type_map[atom.type[: atom.nall]]
-        m = build_qeq_matrix(
-            atom.x[: atom.nall], species, lmp.neigh_list, pair.params,
-            lmp.update.units.qqr2e,
-        )
-        _, cols, vals = m._compact()
+        m = rank_matrix(lmp)
+        cols, vals = m.nz_cols, m.nz_vals
         assert m.traversal_bytes() == vals.nbytes + cols.nbytes
+        # int64 column + float64 value per non-zero
+        assert m.traversal_bytes() == 16 * m.total_nnz
+
+
+def csr_nonzeros(m):
+    """The valid slots of the over-allocated CSR, expanded row by row."""
+    nnz = m.nnz.astype(np.int64)
+    rows = np.repeat(np.arange(m.nlocal), nnz)
+    within = np.arange(len(rows)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+    idx = np.repeat(m.offsets[:-1], nnz) + within
+    return rows, m.cols[idx].astype(np.int64), m.vals[idx]
+
+
+def oracle_spmv2(m, vec2, scatter):
+    """``diag*v + reduceat(vals[:, None] * vec2[cols])`` from the CSR slots."""
+    rows, cols, vals = csr_nonzeros(m)
+    out = m.diag[:, None] * vec2[: m.nlocal]
+    prod = vals[:, None] * vec2[cols]
+    if scatter == ATOMIC:
+        np.add.at(out, rows, prod)
+    elif len(prod):
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] += np.add.reduceat(prod, starts, axis=0)
+    return out
+
+
+def oracle_spmv(m, vec, scatter):
+    """The single-RHS form of :func:`oracle_spmv2`."""
+    rows, cols, vals = csr_nonzeros(m)
+    out = m.diag * vec[: m.nlocal]
+    prod = vals * vec[cols]
+    if scatter == ATOMIC:
+        np.add.at(out, rows, prod)
+    elif len(prod):
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] += np.add.reduceat(prod, starts)
+    return out
+
+
+SYNTHETIC_NALL = 42
+
+
+def synthetic_matrix(nlocal):
+    """A 40-atom CHNO cloud plus two far-off atoms (empty rows when owned)."""
+    rng = np.random.default_rng(3)
+    x = np.vstack([
+        [[60.0, 60.0, 60.0], [90.0, 90.0, 90.0]],
+        rng.uniform(0.0, 9.0, size=(40, 3)),
+    ])
+    species = rng.integers(1, 5, size=len(x))
+    params = default_chno()
+    nlist = build_neighbor_list(x, nlocal, params.rcut_nonb + 1.0, style="full")
+    return build_qeq_matrix(x, species, nlist, params, 332.06371)
+
+
+class TestSpmvOracle:
+    """The single-gather SpMV against the two-array gather formula, bitwise."""
+
+    def matrices(self):
+        """``name -> (matrix, nall)``: a real HNS build and two synthetic."""
+        lmp = make_hns()
+        lmp.run(0)
+        return {
+            "hns": (rank_matrix(lmp), lmp.atom.nall),
+            "empty-rows": (synthetic_matrix(nlocal=12), SYNTHETIC_NALL),
+            "nlocal=0": (synthetic_matrix(nlocal=0), SYNTHETIC_NALL),
+        }
+
+    def test_spmv_and_spmv2_match_oracle_bitwise(self):
+        rng = np.random.default_rng(11)
+        for name, (m, nall) in self.matrices().items():
+            vec2 = rng.normal(size=(nall, 2))
+            if name == "empty-rows":
+                assert np.any(m.nnz[:2] == 0) and m.total_nnz > 0
+            if name == "nlocal=0":
+                assert m.nlocal == 0 and m.total_nnz == 0
+            for scatter in (ATOMIC, SEGMENTED):
+                with force_scatter_mode(scatter):
+                    got2 = m.spmv2(vec2)
+                    want2 = oracle_spmv2(m, vec2, scatter)
+                    assert got2.shape == want2.shape == (m.nlocal, 2)
+                    assert np.array_equal(got2, want2), (name, scatter)
+                    for c in (0, 1):
+                        v = np.ascontiguousarray(vec2[:, c])
+                        got = m.spmv(v)
+                        assert np.array_equal(got, oracle_spmv(m, v, scatter)), (
+                            name, scatter, c,
+                        )
+
+    def test_build_stores_the_csr_nonzeros(self):
+        for name, (m, _) in self.matrices().items():
+            rows, cols, vals = csr_nonzeros(m)
+            assert np.array_equal(m.nz_rows, rows), name
+            assert np.array_equal(m.nz_cols, cols), name
+            assert np.array_equal(m.nz_vals, vals), name
+            assert m.nz_cols.dtype == np.int64 and m.nz_vals.dtype == np.float64
+
+    def test_successive_spmv2_results_do_not_alias(self):
+        m, nall = self.matrices()["hns"]
+        rng = np.random.default_rng(5)
+        for scatter in (ATOMIC, SEGMENTED):
+            with force_scatter_mode(scatter):
+                first = m.spmv2(rng.normal(size=(nall, 2)))
+                kept = first.copy()
+                second = m.spmv2(rng.normal(size=(nall, 2)))
+                assert not np.shares_memory(first, second), scatter
+                assert np.array_equal(first, kept), scatter
+                assert not np.array_equal(first, second), scatter
+
+
+def two_pass_nonbonded(x, species, q, nlist, params, qqr2e, f, virial):
+    """The QEq values and nonbonded terms, each from its own pair pass."""
+    i, j = nlist.ij_pairs()
+    dx = x[i] - x[j]
+    rsq = np.einsum("ij,ij->i", dx, dx)
+    keep = rsq < params.rcut_nonb**2
+    ki, kj = i[keep], j[keep]
+    r = np.sqrt(rsq[keep])
+    g, _ = shielded_kernel(r, params.gamma_ij(species[ki], species[kj]))
+    t, _ = taper(r, params.rcut_nonb)
+    qeq_vals = qqr2e * g * t
+
+    dx = x[i] - x[j]
+    rsq = np.einsum("ij,ij->i", dx, dx)
+    mask = rsq < params.rcut_nonb**2
+    i, j, dx = i[mask], j[mask], dx[mask]
+    r = np.sqrt(rsq[mask])
+    ti, tj = species[i], species[j]
+    t, dt = taper(r, params.rcut_nonb)
+    ev, dev = vdw_morse(
+        r, params.vdw_d_ij(ti, tj), params.vdw_alpha, params.vdw_r_ij(ti, tj)
+    )
+    g, dg = shielded_kernel(r, params.gamma_ij(ti, tj))
+    qq = qqr2e * q[i] * q[j]
+    e_vdw_pair = ev * t
+    e_cou_pair = qq * g * t
+    de_total = (dev * t + ev * dt) + qq * (dg * t + g * dt)
+    evdw = 0.5 * float(e_vdw_pair.sum())
+    ecoul = 0.5 * float(e_cou_pair.sum())
+    fvec = (-de_total / r)[:, None] * dx
+    scatter_add(f, i, fvec, assume_sorted=True)
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        virial[k] += 0.5 * float(np.dot(dx[:, a], fvec[:, b]))
+    return qeq_vals, evdw, ecoul
+
+
+class TestSharedPairPass:
+    """One pair pass feeds the QEq build and the nonbonded force, bitwise."""
+
+    @pytest.mark.parametrize("nranks", [1, 4])
+    def test_matches_two_pass_oracle_bitwise(self, nranks):
+        target = make_hns(nranks=nranks, cells=(2, 2, 2))
+        target.run(0)
+        ranks = target.ranks if nranks > 1 else [target]
+        for lmp in ranks:
+            atom, pair = lmp.atom, lmp.pair
+            nall = atom.nall
+            x = atom.x[:nall]
+            species = pair.type_map[atom.type[:nall]]
+            q = atom.q[:nall]
+            qqr2e = lmp.update.units.qqr2e
+            f_ref = np.zeros((nall, 3))
+            vir_ref = np.zeros(6)
+            vals_ref, evdw_ref, ecoul_ref = two_pass_nonbonded(
+                x, species, q, lmp.neigh_list, pair.params, qqr2e, f_ref, vir_ref
+            )
+            m = rank_matrix(lmp)
+            assert np.array_equal(m.nz_vals, vals_ref)
+            assert np.array_equal(csr_nonzeros(m)[2], vals_ref)
+            f = np.zeros((nall, 3))
+            vir = np.zeros(6)
+            evdw, ecoul, npairs = compute_nonbonded(
+                m.pairs, x, species, q, pair.params, qqr2e, f, vir
+            )
+            assert npairs == len(vals_ref) == m.total_nnz
+            assert evdw == evdw_ref and ecoul == ecoul_ref
+            assert np.array_equal(f, f_ref)
+            assert np.array_equal(vir, vir_ref)
 
 
 # ------------------------------------------------------ preconditioning
